@@ -19,7 +19,6 @@ import numpy as np
 from .demix import PipelineConfig, demix_pipeline
 from .errors import (
     ConvsepError,
-    DataError,
     FormatError,
     NumericalDivergenceError,
     ParameterError,
@@ -81,8 +80,57 @@ def _resolve_scenario(section: dict, seed: int) -> SimScenario:
         raise ParameterError(f"bad scenario parameter: {exc}") from exc
 
 
+def _optional(coerce):
+    return lambda value: None if value is None else coerce(value)
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+# section -> {dataclass field: coercion}. The "iva" section fills IvaConfig,
+# the others PipelineConfig; a key missing here is rejected, and a key
+# missing from the config takes the dataclass default.
+CONFIG_FIELDS = {
+    "stft": {"filter_length": int},
+    "iva": {
+        "step_size": float,
+        "max_iterations": int,
+        "convergence_tol": float,
+        "norm_guard": _optional(float),
+    },
+    "preprocess": {"dc_cutoff_hz": _optional(float), "sphering": _json_bool},
+}
+_TOP_LEVEL_KEYS = {"seed", "out_dir", "scenario", *CONFIG_FIELDS}
+
+
+def _section_values(config: dict, section: str) -> dict:
+    values = config.get(section, {})
+    if not isinstance(values, dict):
+        raise ParameterError(f"config section {section!r} must be a JSON object")
+    fields = CONFIG_FIELDS[section]
+    resolved = {}
+    for key, value in values.items():
+        if key not in fields:
+            raise ParameterError(
+                f"unknown config key {section}.{key}, expected one of {sorted(fields)}"
+            )
+        try:
+            resolved[key] = fields[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad value for {section}.{key}: {exc}") from exc
+    return resolved
+
+
 def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig, dict]:
     """Merge config file and CLI overrides into fully explicit settings."""
+    unknown = sorted(set(config) - _TOP_LEVEL_KEYS)
+    if unknown:
+        raise ParameterError(
+            f"unknown config key {unknown[0]}, expected one of {sorted(_TOP_LEVEL_KEYS)}"
+        )
     seed = int(config.get("seed", 0))
     if args.seed is not None:
         seed = args.seed
@@ -92,65 +140,24 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     kind = scenario_sec.get("kind", "respiratory")
     scenario = _resolve_scenario(scenario_sec, seed)
 
-    stft_sec = dict(config.get("stft", {}))
-    if args.filter_length is not None:
-        stft_sec["filter_length"] = args.filter_length
-    iva_sec = dict(config.get("iva", {}))
-    if args.step_size is not None:
-        iva_sec["step_size"] = args.step_size
-    if args.iterations is not None:
-        iva_sec["max_iterations"] = args.iterations
-    pre_sec = dict(config.get("preprocess", {}))
-
-    try:
-        iva_cfg = IvaConfig(
-            step_size=float(iva_sec.get("step_size", 0.003)),
-            max_iterations=int(iva_sec.get("max_iterations", 200)),
-            convergence_tol=float(iva_sec.get("convergence_tol", 1e-6)),
-            norm_guard=(
-                None if iva_sec.get("norm_guard") is None else float(iva_sec["norm_guard"])
-            ),
-        )
-        pipeline_cfg = PipelineConfig(
-            filter_length=int(stft_sec.get("filter_length", 64)),
-            window_id=str(stft_sec.get("window", "zeropad")),
-            hop=(None if stft_sec.get("hop") is None else int(stft_sec["hop"])),
-            dc_cutoff_hz=(
-                None if pre_sec.get("dc_cutoff_hz") is None else float(pre_sec["dc_cutoff_hz"])
-            ),
-            sphering=bool(pre_sec.get("sphering", True)),
-            eigenvalue_floor=float(pre_sec.get("eigenvalue_floor", 1e-10)),
-            iva=iva_cfg,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
-        raise ParameterError(f"bad config value: {exc}") from exc
+    sections = {section: _section_values(config, section) for section in CONFIG_FIELDS}
+    for section, key, value in (
+        ("stft", "filter_length", args.filter_length),
+        ("iva", "step_size", args.step_size),
+        ("iva", "max_iterations", args.iterations),
+    ):
+        if value is not None:
+            sections[section][key] = value
+    iva_cfg = IvaConfig(**sections["iva"])
+    pipeline_cfg = PipelineConfig(**sections["stft"], **sections["preprocess"], iva=iva_cfg)
 
     scenario_echo = dataclasses.asdict(scenario)
     scenario_echo.pop("seed")
     scenario_echo["kind"] = kind
-    echo = {
-        "seed": seed,
-        "out_dir": str(out_dir),
-        "scenario": scenario_echo,
-        "stft": {
-            "filter_length": pipeline_cfg.filter_length,
-            "window": pipeline_cfg.window_id,
-            "hop": pipeline_cfg.hop,
-        },
-        "iva": {
-            "step_size": iva_cfg.step_size,
-            "max_iterations": iva_cfg.max_iterations,
-            "convergence_tol": iva_cfg.convergence_tol,
-            "norm_guard": iva_cfg.norm_guard,
-        },
-        "preprocess": {
-            "dc_cutoff_hz": pipeline_cfg.dc_cutoff_hz,
-            "sphering": pipeline_cfg.sphering,
-            "eigenvalue_floor": pipeline_cfg.eigenvalue_floor,
-        },
-    }
+    echo = {"seed": seed, "out_dir": str(out_dir), "scenario": scenario_echo}
+    for section, fields in CONFIG_FIELDS.items():
+        source = iva_cfg if section == "iva" else pipeline_cfg
+        echo[section] = {key: getattr(source, key) for key in fields}
     return seed, out_dir, scenario, pipeline_cfg, echo
 
 
@@ -158,10 +165,6 @@ def _write_json(payload: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_echo(echo: dict, out_dir: Path) -> None:
-    _write_json(echo, out_dir / "config_echo.json")
 
 
 def cmd_simulate(out_dir: Path, scenario: SimScenario) -> None:
@@ -201,8 +204,6 @@ def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
     write_trace_csv(result.trace, out_dir / "convergence.csv")
     report = {
         "filter_length": cfg.filter_length,
-        "window": cfg.window_id,
-        "hop": cfg.effective_hop,
         "sphering": {
             "matrix": result.sphering.matrix.tolist(),
             "eigenvalues": result.sphering.eigenvalues.tolist(),
@@ -254,7 +255,7 @@ def _run(args) -> int:
         cmd_separate(out_dir, cfg)
     if args.command in ("evaluate", "pipeline"):
         cmd_evaluate(out_dir, scenario, cfg)
-    _write_echo(echo, out_dir)
+    _write_json(echo, out_dir / "config_echo.json")
     return 0
 
 
@@ -286,16 +287,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ParameterError, FormatError, DataError) as exc:
-        print(f"convsep: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"convsep: error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalDivergenceError, UndefinedSirError) as exc:
         print(f"convsep: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ConvsepError as exc:
+    except (ConvsepError, OSError) as exc:
         print(f"convsep: error: {exc}", file=sys.stderr)
         return 2
 

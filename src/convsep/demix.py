@@ -13,9 +13,8 @@ from .errors import ParameterError
 from .iva import ConvergenceTrace, IvaConfig, run_iva
 from .refine import RefinementTrace, refine_bank
 from .signal import TimeSeries, highpass_dc_removal
-from .spectral import DemixFilterBank, WINDOW_IDS, center, stft
+from .spectral import DemixFilterBank, _is_power_of_two, center, stft
 from .sphering import (
-    DEFAULT_EIGENVALUE_FLOOR,
     SpheringTransform,
     apply_sphering,
     compute_sphering,
@@ -31,25 +30,19 @@ __all__ = [
 ]
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything demix_pipeline needs: framing, preprocessing, and the
-    separation settings.
+    """Everything demix_pipeline needs: the filter length, preprocessing,
+    and the separation settings.
 
-    hop=None means one filter length per hop. dc_cutoff_hz=None skips the
-    highpass stage (the cutoff has no principled default here).
+    The framing follows from filter_length L: 2L-point frames, zero-padded
+    after their first L samples, one filter length apart. dc_cutoff_hz=None
+    skips the highpass stage (the cutoff has no principled default here).
     """
 
     filter_length: int = 64
-    window_id: str = "zeropad"
-    hop: int | None = None
     dc_cutoff_hz: float | None = None
     sphering: bool = True
-    eigenvalue_floor: float = DEFAULT_EIGENVALUE_FLOOR
     iva: IvaConfig = field(default_factory=IvaConfig)
 
     def __post_init__(self):
@@ -57,22 +50,12 @@ class PipelineConfig:
             raise ParameterError(
                 f"filter length must be a power of two, got {self.filter_length}"
             )
-        if self.window_id not in WINDOW_IDS:
-            raise ParameterError(f"unknown window {self.window_id!r}")
-        if self.hop is not None and not 1 <= self.hop <= 2 * self.filter_length:
-            raise ParameterError(f"hop must be in [1, {2 * self.filter_length}], got {self.hop}")
         if self.dc_cutoff_hz is not None and not self.dc_cutoff_hz > 0:
             raise ParameterError(f"dc_cutoff_hz must be positive, got {self.dc_cutoff_hz}")
-        if not self.eigenvalue_floor > 0:
-            raise ParameterError(f"eigenvalue_floor must be positive, got {self.eigenvalue_floor}")
 
     @property
     def n_bins(self) -> int:
         return 2 * self.filter_length
-
-    @property
-    def effective_hop(self) -> int:
-        return self.filter_length if self.hop is None else self.hop
 
 
 class PipelineResult(NamedTuple):
@@ -106,23 +89,21 @@ def apply_mimo_fir(bank: DemixFilterBank, ts: TimeSeries) -> TimeSeries:
 def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:
     """DC removal, sphering, STFT + centering, frequency-domain separation,
     time-domain refinement of the causal bank (refine.refine_bank, with the
-    source variances taken per hop-length block), then the refined FIR bank
+    source variances taken per filter-length block), then the refined FIR bank
     applied to the sphered time-domain signal."""
     prepared = ts
     if cfg.dc_cutoff_hz is not None:
         prepared = highpass_dc_removal(prepared, cfg.dc_cutoff_hz)
     if cfg.sphering:
-        transform = compute_sphering(
-            estimate_spatial_covariance(prepared), cfg.eigenvalue_floor
-        )
+        transform = compute_sphering(estimate_spatial_covariance(prepared))
     else:
         transform = SpheringTransform.identity(prepared.n_channels)
     sphered = apply_sphering(transform, prepared)
 
-    frames = center(stft(sphered, cfg.n_bins, cfg.effective_hop, cfg.window_id))
+    frames = center(stft(sphered, cfg.n_bins, cfg.filter_length, "zeropad"))
     iva_bank, trace = run_iva(frames, cfg.iva)
     del frames
-    bank, refinement = refine_bank(iva_bank, sphered.data, cfg.effective_hop)
+    bank, refinement = refine_bank(iva_bank, sphered.data, cfg.filter_length)
     separated = apply_mimo_fir(bank, sphered)
     return PipelineResult(separated, bank, transform, trace, refinement)
 

@@ -54,6 +54,19 @@ def _db_ratio(num: float, den: float) -> float:
     return float(np.clip(10.0 * math.log10(num / den), -DB_CAP, DB_CAP))
 
 
+def _own_vs_rest_db(power: np.ndarray) -> list[list[float]]:
+    """ratios[s][c]: capped dB ratio of source s's power in column c to the
+    other sources' power in that column; power is (sources, columns)."""
+    ratios = []
+    for src in range(power.shape[0]):
+        row = []
+        for col in range(power.shape[1]):
+            own = float(power[src, col])
+            row.append(_db_ratio(own, float(power[:, col].sum() - own)))
+        ratios.append(row)
+    return ratios
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     """Permutation assignment plus per-output quality figures in dB."""
@@ -128,14 +141,10 @@ def sir(contributions: np.ndarray, transient: int = 0) -> tuple[tuple[int, ...],
     power = np.sum(contributions[:, :, transient:] ** 2, axis=2)  # (source, output)
     if float(power.sum()) == 0.0:
         raise UndefinedSirError("all contributions are zero")
+    ratios = _own_vs_rest_db(power)
     best = None
     for perm in itertools.permutations(range(n_src)):
-        sirs = []
-        for out in range(n_src):
-            src = perm[out]
-            own = float(power[src, out])
-            other = float(power[:, out].sum() - own)
-            sirs.append(_db_ratio(own, other))
+        sirs = [ratios[perm[out]][out] for out in range(n_src)]
         total = sum(sirs)
         if best is None or total > best[0]:
             best = (total, perm, sirs)
@@ -172,16 +181,7 @@ def sdr(
 def input_sir(images: list, transient: int = 0) -> tuple[float, ...]:
     """Per source, the SIR at its best unprocessed sensor."""
     power = np.stack([np.sum(img.data[:, transient:] ** 2, axis=1) for img in images])
-    n_src, n_sensors = power.shape
-    best = []
-    for src in range(n_src):
-        ratios = []
-        for p in range(n_sensors):
-            own = float(power[src, p])
-            other = float(power[:, p].sum() - own)
-            ratios.append(_db_ratio(own, other))
-        best.append(max(ratios))
-    return tuple(best)
+    return tuple(max(row) for row in _own_vs_rest_db(power))
 
 
 def trace_summary(trace: ConvergenceTrace | None) -> dict | None:
@@ -248,7 +248,7 @@ def compare_instantaneous(
     """Run the identical pipeline twice on one simulated mixture, once with
     an instantaneous demixer (L=1) and once with the configured length."""
     sim = build_scenario(scenario)
-    cfg_inst = dc_replace(cfg, filter_length=1, hop=None)
+    cfg_inst = dc_replace(cfg, filter_length=1)
     return _run_and_evaluate(sim, cfg_inst), _run_and_evaluate(sim, cfg)
 
 

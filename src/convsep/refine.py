@@ -249,9 +249,9 @@ def refine_bank(
     """Refine every row of a causal bank on the sphered (P, N) signal.
 
     block is the length, in samples, of the blocks over which each source's
-    variance is taken as constant (the pipeline passes the frame hop of the
-    frequency-domain stage); shorter blocks than MIN_BLOCK are lengthened
-    to it. A single channel is returned unchanged.
+    variance is taken as constant (the pipeline passes the filter length,
+    the frame hop of the frequency-domain stage); shorter blocks than
+    MIN_BLOCK are lengthened to it. A single channel is returned unchanged.
     """
     sphered = np.asarray(sphered, dtype=np.float64)
     p, length = bank.n_channels, bank.filter_length

@@ -63,6 +63,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"stft": {"filter_lenght": 16}}, "filter_lenght"),
+            ({"iva": {"step_sise": 0.5}}, "step_sise"),
+            ({"preprocess": {"dc_cutof_hz": 15.0}}, "dc_cutof_hz"),
+            ({"postprocess": {}}, "postprocess"),
+            ({"stft": {"window": "zeropad"}}, "window"),
+            ({"stft": {"hop": 16}}, "hop"),
+            ({"preprocess": {"eigenvalue_floor": 1e-10}}, "eigenvalue_floor"),
+            ({"preprocess": {"sphering": "false"}}, "sphering"),
+        ],
+    )
+    def test_bad_config_key_exits_2(self, tmp_path, capsys, overrides, key):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeparateCommand:
     def test_missing_input_exits_2(self, tmp_path):

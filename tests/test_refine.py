@@ -94,9 +94,9 @@ def test_refinement_raises_ecg_output_sir():
     prepared = highpass_dc_removal(sim.mixed, cfg.dc_cutoff_hz)
     transform = compute_sphering(estimate_spatial_covariance(prepared))
     sphered = apply_sphering(transform, prepared)
-    frames = center(stft(sphered, cfg.n_bins, cfg.effective_hop, cfg.window_id))
+    frames = center(stft(sphered, cfg.n_bins, cfg.filter_length, "zeropad"))
     iva_bank, _ = run_iva(frames, cfg.iva)
-    refined, trace = refine_bank(iva_bank, sphered.data, cfg.effective_hop)
+    refined, trace = refine_bank(iva_bank, sphered.data, cfg.filter_length)
 
     def ecg_sir(bank):
         report = evaluate_separation(bank, transform, sim.images, dc_cutoff_hz=cfg.dc_cutoff_hz)
