@@ -90,37 +90,66 @@ def _json_bool(value) -> bool:
     return value
 
 
+def _json_int(value) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _json_float(value) -> float:
+    """A JSON number; never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 # section -> {dataclass field: coercion}. The "iva" section fills IvaConfig,
 # the others PipelineConfig; a key missing here is rejected, and a key
 # missing from the config takes the dataclass default.
 CONFIG_FIELDS = {
-    "stft": {"filter_length": int},
+    "stft": {"filter_length": _json_int},
     "iva": {
-        "step_size": float,
-        "max_iterations": int,
-        "convergence_tol": float,
-        "norm_guard": _optional(float),
+        "step_size": _json_float,
+        "max_iterations": _json_int,
+        "convergence_tol": _json_float,
+        "norm_guard": _optional(_json_float),
     },
-    "preprocess": {"dc_cutoff_hz": _optional(float), "sphering": _json_bool},
+    "preprocess": {"dc_cutoff_hz": _optional(_json_float), "sphering": _json_bool},
 }
 _TOP_LEVEL_KEYS = {"seed", "out_dir", "scenario", *CONFIG_FIELDS}
 
 
-def _section_values(config: dict, section: str) -> dict:
+def _coerce(key: str, coerce, value):
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad value for {key}: {exc}") from exc
+
+
+def _section(config: dict, section: str) -> dict:
     values = config.get(section, {})
     if not isinstance(values, dict):
         raise ParameterError(f"config section {section!r} must be a JSON object")
+    return values
+
+
+def _section_values(config: dict, section: str) -> dict:
     fields = CONFIG_FIELDS[section]
     resolved = {}
-    for key, value in values.items():
+    for key, value in _section(config, section).items():
         if key not in fields:
             raise ParameterError(
                 f"unknown config key {section}.{key}, expected one of {sorted(fields)}"
             )
-        try:
-            resolved[key] = fields[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"bad value for {section}.{key}: {exc}") from exc
+        resolved[key] = _coerce(f"{section}.{key}", fields[key], value)
     return resolved
 
 
@@ -131,12 +160,13 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
         raise ParameterError(
             f"unknown config key {unknown[0]}, expected one of {sorted(_TOP_LEVEL_KEYS)}"
         )
-    seed = int(config.get("seed", 0))
+    seed = _coerce("seed", _json_int, config.get("seed", 0))
     if args.seed is not None:
         seed = args.seed
-    out_dir = Path(args.out if args.out is not None else config.get("out_dir", "convsep_out"))
+    out_dir = _coerce("out_dir", _json_str, config.get("out_dir", "convsep_out"))
+    out_dir = Path(args.out if args.out is not None else out_dir)
 
-    scenario_sec = config.get("scenario", {})
+    scenario_sec = _section(config, "scenario")
     kind = scenario_sec.get("kind", "respiratory")
     scenario = _resolve_scenario(scenario_sec, seed)
 

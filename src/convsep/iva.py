@@ -5,6 +5,12 @@ normalization factors across all bins, the multivariate score, a
 natural-gradient coefficient update, and the minimum distortion
 rescaling. Bins are tied together only through the normalization, which
 is what sidesteps the narrowband permutation ambiguity.
+
+run_iva runs the loop on plain arrays: bins 0..L of the real input's
+conjugate-symmetric spectrum, laid out once as (bins, channels, blocks),
+with the interior bins counted twice in every mean over bins.
+forward_pass, broadband_norms and score are the full-spectrum reference
+steps on SpectralFrames; update_step and minimum_distortion serve both.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDivergenceError, ParameterError, SingularFilterError
-from .spectral import (
-    DemixFilterBank,
-    FrequencyFilterBank,
-    SpectralFrames,
-    filters_to_time,
-    truncation_diagnostics,
-)
+from .spectral import DemixFilterBank, FrequencyFilterBank, SpectralFrames
 
 __all__ = [
     "IvaConfig",
@@ -40,6 +40,13 @@ __all__ = [
 # transient ill-conditioning during iteration self-corrects, so the guard
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
+# blocks per chunk of the norm and score temporaries: small enough to stay
+# in cache when blocks are many (L = 1), large enough that the per-bin
+# products run once per iteration when bins are many (L = 64)
+_CHUNK_BLOCKS = 4096
+# conjugate-symmetry tolerance of run_iva's input, relative to its largest
+# magnitude; an FFT of real data misses exact symmetry by about 1e-15
+_SYMMETRY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,12 +77,21 @@ class IvaConfig:
 
 @dataclass
 class IterationState:
-    """One iteration's working set: filters, outputs, norms, and the trace so far."""
+    """One iteration's working set: filters, outputs, norms, and the trace so far.
+
+    outputs is either SpectralFrames, (channels, blocks, bins), with every
+    bin weighted 1, or, as run_iva passes it, a bins-major (bins,
+    channels, blocks) array of the kept half spectrum, with bin_weights
+    the number of full-spectrum bins each kept bin stands for (1, 2, ...,
+    2, 1). filters holds one matrix per bin of outputs; norms is (blocks,
+    channels) either way.
+    """
 
     filters: FrequencyFilterBank
-    outputs: SpectralFrames
+    outputs: SpectralFrames | np.ndarray
     norms: np.ndarray
     update_norm_trace: list = field(default_factory=list)
+    bin_weights: np.ndarray | None = None
 
     @property
     def iteration(self) -> int:
@@ -94,12 +110,8 @@ class ConvergenceTrace:
     discarded_imag_energy: float = 0.0
 
 
-def _resolve_guard(cfg: IvaConfig, outputs: np.ndarray) -> float:
-    if cfg.norm_guard is not None:
-        return cfg.norm_guard
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(np.abs(outputs) ** 2)))
-    return max(1e-12 * rms, np.finfo(float).tiny)
+def _block_chunks(n_blocks: int) -> list[slice]:
+    return [slice(start, start + _CHUNK_BLOCKS) for start in range(0, n_blocks, _CHUNK_BLOCKS)]
 
 
 def forward_pass(fb: FrequencyFilterBank, frames: SpectralFrames) -> SpectralFrames:
@@ -121,6 +133,21 @@ def broadband_norms(outputs: SpectralFrames) -> np.ndarray:
     return np.sqrt(power).T
 
 
+def _half_spectrum_norms(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """broadband_norms of bins-major half-spectrum outputs: the mean over
+    the full spectrum, each kept bin counted weights[v] times."""
+    n_bins, channels, n_blocks = y.shape
+    scale = weights / weights.sum()
+    power = np.empty((n_blocks, channels))
+    with np.errstate(over="ignore"):
+        for blocks in _block_chunks(n_blocks):
+            chunk = y[:, :, blocks]
+            squared = chunk.real**2
+            squared += chunk.imag**2
+            power[blocks] = (scale @ squared.reshape(n_bins, -1)).reshape(channels, -1).T
+    return np.sqrt(power, out=power)
+
+
 def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralFrames:
     """Multivariate score: each bin divided by its block's broadband norm."""
     norms = np.asarray(norms, dtype=np.float64)
@@ -135,38 +162,50 @@ def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralF
     return outputs.with_data(outputs.data / denom)
 
 
-def _bracket(phi: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """G = I - (1/N) sum_m Phi(m) Y(m)^H per bin, blocks summed in ascending order."""
-    n_blocks = phi.shape[2]
-    cross = np.einsum("vqn,vpn->vqp", phi, np.conj(outputs), optimize=False) / n_blocks
-    eye = np.eye(phi.shape[1], dtype=np.complex128)
-    return eye[None, :, :] - cross
-
-
 def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterBank, float, float]:
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
-    Returns the new bank plus the mean and max Frobenius norm of the
-    bracketed term over bins (the convergence-trace entries).
+    Phi is the score of the outputs; Phi Y^H is summed over blocks in
+    chunks of _CHUNK_BLOCKS, so the temporaries stay chunk-sized. The
+    guard of norm_guard=None is 1e-12 times the RMS of the broadband
+    norms, which equals the RMS of the outputs. Returns the new bank plus
+    the bin-weighted mean and the max Frobenius norm of the bracketed
+    term over bins (the convergence-trace entries).
     """
-    y = state.outputs.data.transpose(2, 0, 1)  # (bins, channels, blocks)
-    guard = _resolve_guard(cfg, y)
+    if isinstance(state.outputs, SpectralFrames):
+        y = state.outputs.data.transpose(2, 0, 1)  # (bins, channels, blocks)
+    else:
+        y = state.outputs
+    n_bins, channels, n_blocks = y.shape
+    weights = np.ones(n_bins) if state.bin_weights is None else state.bin_weights
+    response = state.filters.response
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = score(state.outputs, state.norms, guard).data.transpose(2, 0, 1)
-        bracket = _bracket(phi, y)
+        guard = cfg.norm_guard
+        if guard is None:
+            rms = float(np.sqrt(np.mean(state.norms**2)))
+            guard = max(1e-12 * rms, np.finfo(float).tiny)
+        # conj(Phi) Y^T summed over blocks, conjugated once at the end
+        cross = np.zeros((n_bins, channels, channels), dtype=np.complex128)
+        for blocks in _block_chunks(n_blocks):
+            chunk = y[:, :, blocks]
+            phi_conj = np.conj(chunk)
+            phi_conj *= 1.0 / (state.norms[blocks].T + guard)
+            cross += phi_conj @ chunk.transpose(0, 2, 1)
+        bracket = np.eye(channels) - np.conj(cross) / n_blocks
         norms = np.linalg.norm(bracket, axis=(1, 2))
-        new_response = state.filters.response + cfg.step_size * (bracket @ state.filters.response)
+        new_response = response + cfg.step_size * (bracket @ response)
     if not np.all(np.isfinite(new_response)):
-        bad = ~np.all(np.isfinite(new_response).reshape(new_response.shape[0], -1), axis=1)
+        bad = ~np.all(np.isfinite(new_response).reshape(n_bins, -1), axis=1)
         raise NumericalDivergenceError(state.iteration, int(np.argmax(bad)))
-    return FrequencyFilterBank(new_response), float(norms.mean()), float(norms.max())
+    mean_norm = float(weights @ norms / weights.sum())
+    return FrequencyFilterBank(new_response), mean_norm, float(norms.max())
 
 
 def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:
     """Rescale per bin: W <- diag{W^-1} W.
 
-    Raises SingularFilterError, naming the bin, when some W is singular or
-    its condition estimate exceeds 1e12.
+    Raises SingularFilterError, naming the bin, when some W is singular,
+    its inverse is not finite, or its condition estimate exceeds 1e14.
     """
     response = fb.response
     with np.errstate(all="ignore"):
@@ -189,12 +228,37 @@ def _raise_singular(bin_index: int):
     raise SingularFilterError(bin_index)
 
 
+def _half_spectrum(data: np.ndarray) -> np.ndarray:
+    """Bins 0..M/2 of (channels, blocks, M) frames, bins-major.
+
+    Raises ParameterError unless bin M-v is the conjugate of bin v (so the
+    DC and Nyquist bins are real) to within _SYMMETRY_RTOL of the largest
+    magnitude. Checked bin by bin, so no temporary reaches the frames' size.
+    """
+    n_bins = data.shape[2]
+    half = np.ascontiguousarray(data[:, :, : n_bins // 2 + 1].transpose(2, 0, 1))
+    tol = _SYMMETRY_RTOL * max(float(np.max(np.abs(kept))) for kept in half)
+    for v, kept in enumerate(half):
+        mirror = data[:, :, -v % n_bins]
+        for gap in (kept.real - mirror.real, kept.imag + mirror.imag):
+            if np.max(np.abs(gap, out=gap)) > tol:
+                raise ParameterError(
+                    f"frames are not conjugate-symmetric: bin {v} is not the conjugate "
+                    f"of bin {-v % n_bins} (the input must be real)"
+                )
+    return half
+
+
 def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, ConvergenceTrace]:
     """Iterate the separation loop from the identity bank and return the
     causal time-domain bank plus the convergence trace.
 
-    Expects centered frames with an even power-of-two bin count M = 2L and
-    at least two blocks.
+    Expects centered frames of a real signal (conjugate-symmetric in the
+    bins) with an even power-of-two bin count M = 2L and at least two
+    blocks. The loop runs on bins 0..L only, transposed once to (bins,
+    channels, blocks); the other bins stay their conjugates throughout.
+    The bank is read out with the real inverse DFT, so nothing imaginary
+    is discarded.
     """
     n_bins = frames.n_bins
     if n_bins % 2 != 0:
@@ -203,12 +267,16 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
         raise ParameterError("separation needs at least two blocks")
     filter_length = n_bins // 2
 
-    bank = FrequencyFilterBank.identity(n_bins, frames.n_channels)
+    x = _half_spectrum(frames.data)
+    weights = np.full(filter_length + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    y = x.copy()
+    bank = FrequencyFilterBank.identity(filter_length + 1, frames.n_channels)
     mean_trace: list[float] = []
     max_trace: list[float] = []
     converged = False
-    state = IterationState(bank, frames, broadband_norms(frames), mean_trace)
     for _ in range(cfg.max_iterations):
+        state = IterationState(bank, y, _half_spectrum_norms(y, weights), mean_trace, weights)
         try:
             bank, mean_norm, max_norm = update_step(state, cfg)
             bank = minimum_distortion(bank)
@@ -224,19 +292,19 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
         if mean_norm <= cfg.convergence_tol * mean_trace[0]:
             converged = True
             break
-        outputs = forward_pass(bank, frames)
-        state = IterationState(bank, outputs, broadband_norms(outputs), mean_trace)
+        np.matmul(bank.response, x, out=y)
 
-    diag = truncation_diagnostics(bank, filter_length)
+    impulse = np.fft.irfft(bank.response, n=n_bins, axis=0)  # (lags, P, P)
+    total = float(np.sum(impulse**2))
+    late = float(np.sum(impulse[filter_length:] ** 2)) / total if total > 0 else 0.0
     trace = ConvergenceTrace(
         mean_update_norm=mean_trace,
         max_update_norm=max_trace,
         converged=converged,
         iterations=len(mean_trace),
-        discarded_lag_energy=diag.late_lag_energy,
-        discarded_imag_energy=diag.imaginary_energy,
+        discarded_lag_energy=late,
     )
-    return filters_to_time(bank, filter_length), trace
+    return DemixFilterBank(impulse[:filter_length].transpose(1, 2, 0)), trace
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:

@@ -1,8 +1,9 @@
 """STFT analysis and MIMO filter banks in frequency and time form.
 
-The per-bin layout feeds the separation stage: all M bins of every block
-are kept explicitly (no Hermitian packing), with M = 2L twice the
-demixing filter length.
+SpectralFrames hold all M bins of every block, (channels, blocks, bins),
+with M = 2L twice the demixing filter length. The separation stage keeps
+only bins 0..L of these conjugate-symmetric frames (see iva.run_iva);
+filters_to_time and truncation_diagnostics read full M-bin banks.
 """
 
 from __future__ import annotations

@@ -83,6 +83,35 @@ class TestSimulateCommand:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"seed": "x"}, "seed"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"scenario": 3}, "scenario"),
+            ({"out_dir": 3}, "out_dir"),
+            ({"stft": {"filter_length": 64.9}}, "filter_length"),
+            ({"iva": {"max_iterations": 2.5}}, "max_iterations"),
+            ({"iva": {"max_iterations": True}}, "max_iterations"),
+            ({"iva": {"step_size": True}}, "step_size"),
+            ({"preprocess": {"dc_cutoff_hz": True}}, "dc_cutoff_hz"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, seed=5.0, stft={"filter_length": 16.0})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+        assert echo["seed"] == 5 and echo["stft"]["filter_length"] == 16
+
 
 class TestSeparateCommand:
     def test_missing_input_exits_2(self, tmp_path):

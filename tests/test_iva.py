@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import convsep.iva
 from convsep.errors import NumericalDivergenceError, ParameterError, SingularFilterError
 from convsep.iva import (
     IterationState,
@@ -18,13 +21,44 @@ from convsep.spectral import (
     FrequencyFilterBank,
     SpectralFrames,
     center,
+    filters_to_time,
     stft,
+    truncation_diagnostics,
 )
 
 
 def frames_from(data, hop=1, window_id="rect"):
     meta = SignalMetadata(1e-3, tuple(f"ch{p + 1}" for p in range(data.shape[0])))
     return SpectralFrames(np.asarray(data, dtype=complex), hop, window_id, meta)
+
+
+def mixture_frames(filter_length, n_samples=6000, seed=13):
+    """Centered zeropad frames of a real 3-channel convolutive mixture of
+    Laplacian sources, hop L."""
+    rng = np.random.default_rng(seed)
+    sources = rng.laplace(size=(3, n_samples))
+    mixed = rng.standard_normal((3, 3)) @ sources
+    mixed[:, 1:] += 0.5 * rng.standard_normal((3, 3)) @ sources[:, :-1]
+    meta = SignalMetadata(1e-3, ("a", "b", "c"))
+    return center(stft(TimeSeries(mixed, meta), 2 * filter_length, filter_length, "zeropad"))
+
+
+def reference_iva(frames, cfg):
+    """run_iva's loop on every bin through the per-step API; returns the
+    frequency bank and both update-norm traces."""
+    fb = FrequencyFilterBank.identity(frames.n_bins, frames.n_channels)
+    mean_trace, max_trace = [], []
+    outputs = frames
+    for _ in range(cfg.max_iterations):
+        state = IterationState(fb, outputs, broadband_norms(outputs), mean_trace)
+        fb, mean_norm, max_norm = update_step(state, cfg)
+        fb = minimum_distortion(fb)
+        mean_trace.append(mean_norm)
+        max_trace.append(max_norm)
+        if mean_norm <= cfg.convergence_tol * mean_trace[0]:
+            break
+        outputs = forward_pass(fb, frames)
+    return fb, mean_trace, max_trace
 
 
 def naive_forward(response, data):
@@ -302,3 +336,69 @@ class TestRunIva:
         result = demix_pipeline(mixed, cfg)
         report = evaluate_separation(result.bank, result.sphering, images)
         assert min(report.sir_db) > 20.0
+
+
+class TestHalfSpectrumLoop:
+    @pytest.mark.parametrize("filter_length", [8, 1])
+    @pytest.mark.parametrize("iterations", [1, 5, 20])
+    def test_matches_reference_loop(self, filter_length, iterations):
+        frames = mixture_frames(filter_length)
+        cfg = IvaConfig(step_size=0.05, max_iterations=iterations)
+        bank, trace = run_iva(frames, cfg)
+        ref_fb, ref_mean, ref_max = reference_iva(frames, cfg)
+        ref_bank = filters_to_time(ref_fb, filter_length)
+        rel = np.linalg.norm(bank.coeffs - ref_bank.coeffs) / np.linalg.norm(ref_bank.coeffs)
+        assert rel <= 1e-12
+        assert trace.iterations == iterations
+        np.testing.assert_allclose(trace.mean_update_norm, ref_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.max_update_norm, ref_max, rtol=1e-12, atol=0)
+        ref_late = truncation_diagnostics(ref_fb, filter_length).late_lag_energy
+        assert trace.discarded_lag_energy == pytest.approx(ref_late, rel=1e-12, abs=1e-15)
+        assert trace.discarded_imag_energy == 0.0
+
+    def test_rejects_non_symmetric_frames(self):
+        rng = np.random.default_rng(14)
+        data = rng.standard_normal((2, 5, 8)) + 1j * rng.standard_normal((2, 5, 8))
+        with pytest.raises(ParameterError, match="conjugate-symmetric"):
+            run_iva(frames_from(data), IvaConfig(max_iterations=1))
+
+    def test_rejects_complex_dc_bin(self):
+        frames = mixture_frames(4)
+        data = frames.data.copy()
+        data[1, 3, 0] += 1e-3j * np.max(np.abs(data))
+        with pytest.raises(ParameterError, match="bin 0"):
+            run_iva(frames.with_data(data), IvaConfig(max_iterations=1))
+
+    def test_calls_each_step_once_per_iteration(self, monkeypatch):
+        # perfbench counts iterations by update_step calls and splits the
+        # loop's time by the step functions it wraps at module level
+        calls = {"update_step": 0, "minimum_distortion": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _step=getattr(convsep.iva, name)):
+                calls[_name] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(convsep.iva, name, counted)
+        run_iva(mixture_frames(8), IvaConfig(step_size=0.05, max_iterations=7))
+        assert calls == {"update_step": 7, "minimum_distortion": 7}
+
+    @pytest.mark.parametrize("filter_length", [1, 64])
+    def test_peak_memory_below_reference_loop(self, filter_length):
+        frames = mixture_frames(filter_length, n_samples=1 << 16)
+        cfg = IvaConfig(step_size=0.05, max_iterations=3)
+
+        def peak(loop):
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                loop(frames, cfg)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        assert peak(run_iva) < peak(reference_iva)
