@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,6 @@ SCENARIO_PRESETS = {
     "diagonal": diagonal_scenario,
 }
 
-_SCENARIO_TUPLE_FIELDS = ("source_kinds", "firing_rates_hz", "source_depths_m")
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -61,23 +60,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise FormatError(f"config {path} must hold a JSON object")
     return config
-
-
-def _resolve_scenario(section: dict, seed: int) -> SimScenario:
-    section = dict(section)
-    kind = section.pop("kind", "respiratory")
-    if kind not in SCENARIO_PRESETS:
-        raise ParameterError(
-            f"unknown scenario kind {kind!r}, expected one of {sorted(SCENARIO_PRESETS)}"
-        )
-    section.pop("seed", None)
-    for name in _SCENARIO_TUPLE_FIELDS:
-        if name in section:
-            section[name] = tuple(section[name])
-    try:
-        return SCENARIO_PRESETS[kind](seed=seed, **section)
-    except TypeError as exc:
-        raise ParameterError(f"bad scenario parameter: {exc}") from exc
 
 
 def _optional(coerce):
@@ -111,20 +93,54 @@ def _json_str(value) -> str:
     return value
 
 
-# section -> {dataclass field: coercion}. The "iva" section fills IvaConfig,
-# the others PipelineConfig; a key missing here is rejected, and a key
-# missing from the config takes the dataclass default.
-CONFIG_FIELDS = {
-    "stft": {"filter_length": _json_int},
-    "iva": {
-        "step_size": _json_float,
-        "max_iterations": _json_int,
-        "convergence_tol": _json_float,
-        "norm_guard": _optional(_json_float),
-    },
-    "preprocess": {"dc_cutoff_hz": _optional(_json_float), "sphering": _json_bool},
+def _json_list(coerce):
+    def coerce_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list, got {value!r}")
+        return tuple(coerce(item) for item in value)
+
+    return coerce_list
+
+
+def _scenario_kind(value) -> str:
+    if _json_str(value) not in SCENARIO_PRESETS:
+        raise ValueError(f"expected one of {sorted(SCENARIO_PRESETS)}, got {value!r}")
+    return value
+
+
+# A config dataclass field's coercion, by its annotated type.
+_COERCIONS = {
+    int: _json_int,
+    float: _json_float,
+    float | None: _optional(_json_float),
+    bool: _json_bool,
+    str: _json_str,
+    tuple[str, ...]: _json_list(_json_str),
+    tuple[float, ...]: _json_list(_json_float),
 }
-_TOP_LEVEL_KEYS = {"seed", "out_dir", "scenario", *CONFIG_FIELDS}
+
+
+def _typed_fields(cls, names=None) -> dict:
+    """{field: coercion} for the named fields of a config dataclass, all by default."""
+    hints = typing.get_type_hints(cls)
+    if names is None:
+        names = [f.name for f in dataclasses.fields(cls)]
+    return {name: _COERCIONS[hints[name]] for name in names}
+
+
+# section -> {key: coercion}. "scenario" fills SimScenario through the preset
+# its "kind" names, "iva" fills IvaConfig, the others PipelineConfig; a key
+# missing here is rejected, and a key missing from the config takes the
+# dataclass (or preset) default.
+CONFIG_FIELDS = {
+    "scenario": {"kind": _scenario_kind, **_typed_fields(SimScenario)},
+    "stft": _typed_fields(PipelineConfig, ["filter_length"]),
+    "iva": _typed_fields(IvaConfig),
+    "preprocess": _typed_fields(PipelineConfig, ["dc_cutoff_hz", "sphering"]),
+}
+# Only the top-level key sets the scenario seed.
+del CONFIG_FIELDS["scenario"]["seed"]
+_TOP_LEVEL_KEYS = {"seed", "out_dir", *CONFIG_FIELDS}
 
 
 def _coerce(key: str, coerce, value):
@@ -134,17 +150,13 @@ def _coerce(key: str, coerce, value):
         raise ParameterError(f"bad value for {key}: {exc}") from exc
 
 
-def _section(config: dict, section: str) -> dict:
+def _section_values(config: dict, section: str) -> dict:
     values = config.get(section, {})
     if not isinstance(values, dict):
         raise ParameterError(f"config section {section!r} must be a JSON object")
-    return values
-
-
-def _section_values(config: dict, section: str) -> dict:
     fields = CONFIG_FIELDS[section]
     resolved = {}
-    for key, value in _section(config, section).items():
+    for key, value in values.items():
         if key not in fields:
             raise ParameterError(
                 f"unknown config key {section}.{key}, expected one of {sorted(fields)}"
@@ -166,10 +178,6 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     out_dir = _coerce("out_dir", _json_str, config.get("out_dir", "convsep_out"))
     out_dir = Path(args.out if args.out is not None else out_dir)
 
-    scenario_sec = _section(config, "scenario")
-    kind = scenario_sec.get("kind", "respiratory")
-    scenario = _resolve_scenario(scenario_sec, seed)
-
     sections = {section: _section_values(config, section) for section in CONFIG_FIELDS}
     for section, key, value in (
         ("stft", "filter_length", args.filter_length),
@@ -178,16 +186,16 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     ):
         if value is not None:
             sections[section][key] = value
+    kind = sections["scenario"].pop("kind", "respiratory")
+    scenario = SCENARIO_PRESETS[kind](seed=seed, **sections["scenario"])
     iva_cfg = IvaConfig(**sections["iva"])
     pipeline_cfg = PipelineConfig(**sections["stft"], **sections["preprocess"], iva=iva_cfg)
 
-    scenario_echo = dataclasses.asdict(scenario)
-    scenario_echo.pop("seed")
-    scenario_echo["kind"] = kind
-    echo = {"seed": seed, "out_dir": str(out_dir), "scenario": scenario_echo}
+    sources = dict(scenario=scenario, stft=pipeline_cfg, iva=iva_cfg, preprocess=pipeline_cfg)
+    echo = {"seed": seed, "out_dir": str(out_dir)}
     for section, fields in CONFIG_FIELDS.items():
-        source = iva_cfg if section == "iva" else pipeline_cfg
-        echo[section] = {key: getattr(source, key) for key in fields}
+        echo[section] = {key: getattr(sources[section], key) for key in fields if key != "kind"}
+    echo["scenario"]["kind"] = kind
     return seed, out_dir, scenario, pipeline_cfg, echo
 
 

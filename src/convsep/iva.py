@@ -107,7 +107,6 @@ class ConvergenceTrace:
     converged: bool
     iterations: int
     discarded_lag_energy: float = 0.0
-    discarded_imag_energy: float = 0.0
 
 
 def _block_chunks(n_blocks: int) -> list[slice]:

@@ -101,12 +101,10 @@ class SeparationReport:
 
 
 def project_images(
-    bank: DemixFilterBank,
-    sphering: SpheringTransform,
-    images: list,
-    dc_cutoff_hz: float | None = None,
+    bank: DemixFilterBank, sphering: SpheringTransform, images: list
 ) -> np.ndarray:
-    """Pass each source's sensor image through the fitted chain.
+    """Pass each source's sensor image through the fitted sphering and FIR
+    bank; the images must already carry the pipeline's highpass, if any.
 
     Returns contributions[q, j] = what source q contributes to output j;
     their sum over q equals the pipeline output by linearity.
@@ -119,8 +117,6 @@ def project_images(
             raise ParameterError(
                 f"image has {img.n_channels} channels, bank expects {bank.n_channels}"
             )
-        if dc_cutoff_hz is not None:
-            img = highpass_dc_removal(img, dc_cutoff_hz)
         out.append(apply_mimo_fir(bank, apply_sphering(sphering, img)).data)
     return np.stack(out)
 
@@ -186,8 +182,8 @@ def input_sir(images: list, transient: int = 0) -> tuple[float, ...]:
 
 def trace_summary(trace: ConvergenceTrace | None) -> dict | None:
     """JSON-ready summary of the frequency-domain stage. The discarded
-    energies describe that stage's bank, before the time-domain refinement
-    replaced it, hence their iva_bank_ prefix."""
+    energy describes that stage's bank, before the time-domain refinement
+    replaced it, hence its iva_bank_ prefix."""
     if trace is None:
         return None
     return {
@@ -196,7 +192,6 @@ def trace_summary(trace: ConvergenceTrace | None) -> dict | None:
         "initial_mean_update_norm": trace.mean_update_norm[0] if trace.mean_update_norm else None,
         "final_mean_update_norm": trace.mean_update_norm[-1] if trace.mean_update_norm else None,
         "iva_bank_discarded_lag_energy": trace.discarded_lag_energy,
-        "iva_bank_discarded_imag_energy": trace.discarded_imag_energy,
     }
 
 
@@ -212,13 +207,12 @@ def evaluate_separation(
     unprocessed sensor, skipping the filter transient."""
     if transient is None:
         transient = bank.filter_length
-    contributions = project_images(bank, sphering, images, dc_cutoff_hz)
-    ref_images = images
     if dc_cutoff_hz is not None:
-        ref_images = [highpass_dc_removal(img, dc_cutoff_hz) for img in images]
+        images = [highpass_dc_removal(img, dc_cutoff_hz) for img in images]
+    contributions = project_images(bank, sphering, images)
     assignment, sir_db = sir(contributions, transient)
-    sdr_db = sdr(contributions, ref_images, assignment, transient)
-    in_sir = input_sir(ref_images, transient)
+    sdr_db = sdr(contributions, images, assignment, transient)
+    in_sir = input_sir(images, transient)
     per_output_input = tuple(in_sir[src] for src in assignment)
     improvement = tuple(o - i for o, i in zip(sir_db, per_output_input))
     return SeparationReport(

@@ -175,6 +175,8 @@ class SimScenario:
             raise ParameterError(f"kernel_length must be >= 8, got {self.kernel_length}")
         if not self.sample_interval_s > 0 or not self.duration_s > 0:
             raise ParameterError("duration and sample interval must be positive")
+        if not self.breath_period_s > 0:
+            raise ParameterError(f"breath_period_s must be positive, got {self.breath_period_s}")
         if self.ecg_gain < 0:
             raise ParameterError(f"ecg_gain must be >= 0, got {self.ecg_gain}")
         if not self.conduction_velocity_m_s > 0:
@@ -441,9 +443,8 @@ def _target_gain(sc: SimScenario, kind: str) -> float:
 
 
 def build_scenario(sc: SimScenario) -> Simulation:
-    """Deterministic synthesis for a fixed seed: sources, kernels, gain
-    calibration against the measured unit-gain image RMS, and the mixture."""
-    n = sc.n_samples
+    """Deterministic synthesis for a fixed seed: sources, kernels, unit-gain
+    images scaled to each kind's target RMS, and their sum as the mixture."""
     signals = np.stack([_source_signal(sc, q) for q in range(sc.n_sources)])
     sources = SourceSet(signals, sc.source_kinds, sc.seed, sc.sample_interval_s)
 
@@ -451,15 +452,12 @@ def build_scenario(sc: SimScenario) -> Simulation:
     kernels = np.stack([_source_kernels(sc, q, kernel_rng) for q in range(sc.n_sources)])
     system = MixingSystem(kernels)
 
-    gains = np.ones(sc.n_sources)
-    for q in range(sc.n_sources):
-        img = np.zeros((sc.n_sensors, n))
-        for p in range(sc.n_sensors):
-            img[p] = np.convolve(signals[q], kernels[q, p])[:n]
-        rms = float(np.sqrt(np.mean(img**2)))
-        if rms > 0:
-            gains[q] = _target_gain(sc, sc.source_kinds[q]) / rms
-    mixed, images = mix(sources, system, gains)
+    images = mix(sources, system, np.ones(sc.n_sources))[1]
+    for q, img in enumerate(images):
+        rms = float(np.sqrt(np.mean(img.data**2)))
+        gain = _target_gain(sc, sc.source_kinds[q]) / rms if rms > 0 else 1.0
+        images[q] = img.with_data(gain * img.data)
+    mixed = images[0].with_data(sum(img.data for img in images))
     return Simulation(mixed, sources, system, images)
 
 

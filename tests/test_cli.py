@@ -74,6 +74,7 @@ class TestSimulateCommand:
             ({"stft": {"hop": 16}}, "hop"),
             ({"preprocess": {"eigenvalue_floor": 1e-10}}, "eigenvalue_floor"),
             ({"preprocess": {"sphering": "false"}}, "sphering"),
+            ({"scenario": {"seed": 3}}, "scenario.seed"),
         ],
     )
     def test_bad_config_key_exits_2(self, tmp_path, capsys, overrides, key):
@@ -96,6 +97,12 @@ class TestSimulateCommand:
             ({"iva": {"max_iterations": True}}, "max_iterations"),
             ({"iva": {"step_size": True}}, "step_size"),
             ({"preprocess": {"dc_cutoff_hz": True}}, "dc_cutoff_hz"),
+            ({"scenario": {"source_kinds": 3}}, "scenario.source_kinds"),
+            ({"scenario": {"kind": ["x"]}}, "scenario.kind"),
+            ({"scenario": {"kernel_length": 16.5}}, "scenario.kernel_length"),
+            ({"scenario": {"emg_gain": "x"}}, "scenario.emg_gain"),
+            ({"scenario": {"ecg_bpm": True}}, "scenario.ecg_bpm"),
+            ({"scenario": {"breath_period_s": 0}}, "breath_period_s"),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
@@ -111,6 +118,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 0
         echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
         assert echo["seed"] == 5 and echo["stft"]["filter_length"] == 16
+
+    def test_list_valued_scenario_reruns_from_echo(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg,
+            scenario={
+                "duration_s": 6,
+                "source_kinds": ["emg", "emg_expiratory", "ecg", "noise"],
+                "firing_rates_hz": [12, 20.5, 0, 0],
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["scenario"]["duration_s"] == 6.0
+        assert echo["scenario"]["firing_rates_hz"] == [12.0, 20.5, 0.0, 0.0]
+        snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["simulate", "--config", str(out / "config_echo.json")]) == 0
+        for name, payload in snapshot.items():
+            assert (out / name).read_bytes() == payload, f"{name} changed on rerun"
 
 
 class TestSeparateCommand:

@@ -354,7 +354,6 @@ class TestHalfSpectrumLoop:
         np.testing.assert_allclose(trace.max_update_norm, ref_max, rtol=1e-12, atol=0)
         ref_late = truncation_diagnostics(ref_fb, filter_length).late_lag_energy
         assert trace.discarded_lag_energy == pytest.approx(ref_late, rel=1e-12, abs=1e-15)
-        assert trace.discarded_imag_energy == 0.0
 
     def test_rejects_non_symmetric_frames(self):
         rng = np.random.default_rng(14)

@@ -164,7 +164,8 @@ class TestProjectImages:
 
     def test_highpass_keeps_decomposition_linear(self):
         images, mixed, bank, transform = self._setup(seed=6)
-        contrib = project_images(bank, transform, images, dc_cutoff_hz=10.0)
+        highpassed = [highpass_dc_removal(img, 10.0) for img in images]
+        contrib = project_images(bank, transform, highpassed)
         output = apply_mimo_fir(
             bank, apply_sphering(transform, highpass_dc_removal(mixed, 10.0))
         ).data
