@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError, FormatError, ParameterError
 
@@ -145,7 +144,8 @@ def highpass_dc_removal(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
     """First-order highpass per channel, zero initial state.
 
     One pole at a = exp(-2*pi*fc*Ta) with the zero at DC; the gain is
-    normalized so the response at Nyquist is exactly one.
+    normalized so the response at Nyquist is exactly one:
+    y[n] = a*y[n-1] + g*(x[n] - x[n-1]), with x[-1] = y[-1] = 0.
     """
     nyquist = 0.5 / ts.meta.sample_interval_s
     if not 0 < cutoff_hz < nyquist:
@@ -154,5 +154,19 @@ def highpass_dc_removal(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
         )
     a = np.exp(-2.0 * np.pi * cutoff_hz * ts.meta.sample_interval_s)
     g = 0.5 * (1.0 + a)
-    filtered = lfilter([g, -g], [1.0, -a], ts.data, axis=1)
-    return ts.with_data(filtered)
+    x = ts.data
+    y = np.empty_like(x)
+    y[:, 0] = x[:, 0]
+    np.subtract(x[:, 1:], x[:, :-1], out=y[:, 1:])
+    y *= g
+    # Log-step scan of y[n] += a*y[n-1], one channel at a time so that each
+    # step reads a row still in cache: after the step of span s, y[n] holds
+    # the sum over j < 2s of a**j * g*(x[n-j] - x[n-j-1]). Once a**s
+    # underflows to zero, the terms left lie far below float64 resolution.
+    for row in y:
+        span, pole = 1, a
+        while span < row.size and pole != 0.0:
+            row[span:] += pole * row[:-span]
+            span *= 2
+            pole *= pole
+    return ts.with_data(y)

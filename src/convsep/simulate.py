@@ -179,8 +179,25 @@ class SimScenario:
             raise ParameterError(f"breath_period_s must be positive, got {self.breath_period_s}")
         if self.ecg_gain < 0:
             raise ParameterError(f"ecg_gain must be >= 0, got {self.ecg_gain}")
+        if not self.ecg_bpm > 0:
+            raise ParameterError(f"ecg_bpm must be positive, got {self.ecg_bpm}")
         if not self.conduction_velocity_m_s > 0:
             raise ParameterError("conduction velocity must be positive")
+        muap_sources = [
+            q for q, kind in enumerate(self.source_kinds) if kind not in ("ecg", "noise")
+        ]
+        if self.mixing == "convolutive" and muap_sources:
+            # the farthest sensor from any MUAP source, as _source_kernels places them
+            reach = max(max(q, self.n_sensors - 1 - q) for q in muap_sources)
+            delay = reach * self.sensor_spacing_m / (
+                self.conduction_velocity_m_s * self.sample_interval_s
+            )
+            if MUAP_BASE_LAG + delay > self.kernel_length - 1:
+                raise ParameterError(
+                    f"conduction_velocity_m_s {self.conduction_velocity_m_s} gives a propagation "
+                    f"delay of {delay:.1f} samples, which does not fit a "
+                    f"{self.kernel_length}-tap kernel (kernel_length)"
+                )
         if any(r < 0 for r in self.firing_rates_hz):
             raise ParameterError("firing rates must be >= 0")
         if any(d <= 0 for d in self.source_depths_m):

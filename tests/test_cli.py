@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convsep
 from convsep.cli import main
 from convsep.spectral import load_filter_bank
 
@@ -103,6 +108,8 @@ class TestSimulateCommand:
             ({"scenario": {"emg_gain": "x"}}, "scenario.emg_gain"),
             ({"scenario": {"ecg_bpm": True}}, "scenario.ecg_bpm"),
             ({"scenario": {"breath_period_s": 0}}, "breath_period_s"),
+            ({"scenario": {"ecg_bpm": 0}}, "ecg_bpm"),
+            ({"scenario": {"conduction_velocity_m_s": 0.5}}, "conduction_velocity_m_s"),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
@@ -224,3 +231,22 @@ class TestReproducibility:
         for name, payload in snapshot.items():
             assert (out / name).read_bytes() == payload, f"{name} changed on rerun"
         assert len(list(out.iterdir())) == len(snapshot)
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # the CLI is started once per run, so every module it imports is paid on every run
+        src = Path(convsep.__file__).resolve().parents[1]
+        code = (
+            "import convsep.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert done.stdout.strip() == "[]"

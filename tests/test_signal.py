@@ -101,13 +101,23 @@ class TestRawIO:
 
 
 class TestHighpass:
-    def test_matches_direct_recursion(self, make_ts):
+    @pytest.mark.parametrize(
+        "shape, cutoff_hz, interval_s",
+        [
+            ((1, 200), 5.0, 1e-3),
+            ((4, 61_475), 15.0, 0.976e-3),
+            ((2, 20_000), 0.5, 1e-3),
+            ((3, 1001), 40.0, 1e-3),
+            ((2, 1), 5.0, 1e-3),
+        ],
+        ids=["short", "flagship", "pole-near-1", "odd-length", "one-sample"],
+    )
+    def test_matches_direct_recursion(self, make_ts, shape, cutoff_hz, interval_s):
         rng = np.random.default_rng(11)
-        x = rng.standard_normal(200)
-        ts = make_ts(x[None, :])
-        got = highpass_dc_removal(ts, 5.0).data[0]
-        want = direct_onepole_highpass(x, 5.0, 1e-3)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        x = 50.0 * rng.standard_normal(shape) + 3.0
+        got = highpass_dc_removal(make_ts(x, interval_s), cutoff_hz).data
+        want = np.stack([direct_onepole_highpass(row, cutoff_hz, interval_s) for row in x])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_constant_decays(self, make_ts):
         c = 3.5

@@ -221,6 +221,23 @@ class TestBuildScenario:
         with pytest.raises(ParameterError):
             SimScenario(n_sources=4, n_sensors=3)
 
+    def test_ecg_bpm_must_be_positive(self):
+        with pytest.raises(ParameterError, match="ecg_bpm"):
+            SimScenario(ecg_bpm=0.0)
+
+    def test_propagation_delay_checked_at_construction(self):
+        # 2 + 3 * 0.015 / (v * 0.976e-3) <= 15 holds from v = 3.5466 m/s
+        build_scenario(respiratory_scenario(conduction_velocity_m_s=3.55, duration_s=2.0))
+        with pytest.raises(ParameterError, match="conduction_velocity_m_s"):
+            respiratory_scenario(conduction_velocity_m_s=3.54)
+        # no propagating MUAP kernel is built, so no delay has to fit
+        respiratory_scenario(conduction_velocity_m_s=0.5, mixing="instantaneous")
+        SimScenario(
+            source_kinds=("ecg", "noise", "noise", "noise"),
+            firing_rates_hz=(0.0,) * 4,
+            conduction_velocity_m_s=0.5,
+        )
+
     def test_pair_scenarios(self):
         for factory in (delayed_pair_scenario, instantaneous_pair_scenario, diagonal_scenario):
             sim = build_scenario(factory(seed=0, duration_s=3.0))
