@@ -175,6 +175,8 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     seed = _coerce("seed", _json_int, config.get("seed", 0))
     if args.seed is not None:
         seed = args.seed
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     out_dir = _coerce("out_dir", _json_str, config.get("out_dir", "convsep_out"))
     out_dir = Path(args.out if args.out is not None else out_dir)
 

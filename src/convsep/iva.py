@@ -8,7 +8,13 @@ is what sidesteps the narrowband permutation ambiguity.
 
 run_iva runs the loop on plain arrays: bins 0..L of the real input's
 conjugate-symmetric spectrum, laid out once as (bins, channels, blocks),
-with the interior bins counted twice in every mean over bins.
+with the interior bins counted twice in every mean over bins. Each
+iteration is one pass over that mixture spectrum X in chunks of blocks of
+about _CHUNK_BYTES: per chunk, Y = W X, its broadband norms, the score and
+the bracket sum, so no outputs array of the frames' size is ever held.
+The score guard needs the outputs' RMS before that pass; it comes from the
+per-bin mixture covariances sum_n X X^H, formed once. When every kept bin
+is exactly real (L = 1: DC and Nyquist only) the loop runs in float64.
 forward_pass, broadband_norms and score are the full-spectrum reference
 steps on SpectralFrames; update_step and minimum_distortion serve both.
 """
@@ -40,10 +46,11 @@ __all__ = [
 # transient ill-conditioning during iteration self-corrects, so the guard
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
-# blocks per chunk of the norm and score temporaries: small enough to stay
-# in cache when blocks are many (L = 1), large enough that the per-bin
-# products run once per iteration when bins are many (L = 64)
-_CHUNK_BLOCKS = 4096
+# bytes of outputs per chunk of blocks in update_step: small enough that a
+# chunk's product, norms, score and bracket stay in cache when blocks are
+# many (L = 1), large enough that the per-bin products stay few when bins
+# are many (L = 64)
+_CHUNK_BYTES = 1 << 19
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
 _SYMMETRY_RTOL = 1e-10
@@ -69,7 +76,7 @@ class IvaConfig:
             raise ParameterError(f"step_size must be in [0, 1], got {self.step_size}")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.convergence_tol < 0:
+        if not self.convergence_tol >= 0:
             raise ParameterError(f"convergence_tol must be >= 0, got {self.convergence_tol}")
         if self.norm_guard is not None and not self.norm_guard > 0:
             raise ParameterError(f"norm_guard must be positive, got {self.norm_guard}")
@@ -79,19 +86,22 @@ class IvaConfig:
 class IterationState:
     """One iteration's working set: filters, outputs, norms, and the trace so far.
 
-    outputs is either SpectralFrames, (channels, blocks, bins), with every
-    bin weighted 1, or, as run_iva passes it, a bins-major (bins,
-    channels, blocks) array of the kept half spectrum, with bin_weights
-    the number of full-spectrum bins each kept bin stands for (1, 2, ...,
-    2, 1). filters holds one matrix per bin of outputs; norms is (blocks,
-    channels) either way.
+    outputs is either SpectralFrames of the outputs, (channels, blocks,
+    bins), every bin weighted 1, with norms their (blocks, channels)
+    broadband norms; or, as run_iva passes it, the bins-major (bins,
+    channels, blocks) half spectrum X of the mixture, from which
+    update_step forms the outputs W X chunk by chunk. Then norms is None,
+    covariance holds the per-bin sums over blocks of X X^H, and
+    bin_weights the number of full-spectrum bins each kept bin stands for
+    (1, 2, ..., 2, 1). filters holds one matrix per bin of outputs.
     """
 
     filters: FrequencyFilterBank
     outputs: SpectralFrames | np.ndarray
-    norms: np.ndarray
+    norms: np.ndarray | None
     update_norm_trace: list = field(default_factory=list)
     bin_weights: np.ndarray | None = None
+    covariance: np.ndarray | None = None
 
     @property
     def iteration(self) -> int:
@@ -109,8 +119,11 @@ class ConvergenceTrace:
     discarded_lag_energy: float = 0.0
 
 
-def _block_chunks(n_blocks: int) -> list[slice]:
-    return [slice(start, start + _CHUNK_BLOCKS) for start in range(0, n_blocks, _CHUNK_BLOCKS)]
+def _block_chunks(n_blocks: int, block_bytes: int) -> list[slice]:
+    """Slices over n_blocks blocks of block_bytes each, about _CHUNK_BYTES
+    per slice and the first one the longest."""
+    size = max(1, _CHUNK_BYTES // block_bytes)
+    return [slice(start, min(start + size, n_blocks)) for start in range(0, n_blocks, size)]
 
 
 def forward_pass(fb: FrequencyFilterBank, frames: SpectralFrames) -> SpectralFrames:
@@ -132,21 +145,6 @@ def broadband_norms(outputs: SpectralFrames) -> np.ndarray:
     return np.sqrt(power).T
 
 
-def _half_spectrum_norms(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """broadband_norms of bins-major half-spectrum outputs: the mean over
-    the full spectrum, each kept bin counted weights[v] times."""
-    n_bins, channels, n_blocks = y.shape
-    scale = weights / weights.sum()
-    power = np.empty((n_blocks, channels))
-    with np.errstate(over="ignore"):
-        for blocks in _block_chunks(n_blocks):
-            chunk = y[:, :, blocks]
-            squared = chunk.real**2
-            squared += chunk.imag**2
-            power[blocks] = (scale @ squared.reshape(n_bins, -1)).reshape(channels, -1).T
-    return np.sqrt(power, out=power)
-
-
 def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralFrames:
     """Multivariate score: each bin divided by its block's broadband norm."""
     norms = np.asarray(norms, dtype=np.float64)
@@ -165,31 +163,49 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
     Phi is the score of the outputs; Phi Y^H is summed over blocks in
-    chunks of _CHUNK_BLOCKS, so the temporaries stay chunk-sized. The
-    guard of norm_guard=None is 1e-12 times the RMS of the broadband
-    norms, which equals the RMS of the outputs. Returns the new bank plus
-    the bin-weighted mean and the max Frobenius norm of the bracketed
-    term over bins (the convergence-trace entries).
+    chunks of about _CHUNK_BYTES, so the temporaries stay chunk-sized.
+    Given the mixture X, each chunk's outputs Y = W X and their broadband
+    norms are formed there too. The guard of norm_guard=None is 1e-12
+    times the RMS of the outputs. Returns the new bank plus the
+    bin-weighted mean and the max Frobenius norm of the bracketed term
+    over bins (the convergence-trace entries).
     """
-    if isinstance(state.outputs, SpectralFrames):
-        y = state.outputs.data.transpose(2, 0, 1)  # (bins, channels, blocks)
-    else:
-        y = state.outputs
-    n_bins, channels, n_blocks = y.shape
-    weights = np.ones(n_bins) if state.bin_weights is None else state.bin_weights
     response = state.filters.response
+    outputs_given = isinstance(state.outputs, SpectralFrames)
+    source = state.outputs.data.transpose(2, 0, 1) if outputs_given else state.outputs
+    n_bins, channels, n_blocks = source.shape
+    weights = np.ones(n_bins) if state.bin_weights is None else state.bin_weights
+    scale = weights / weights.sum()
+    dtype = np.result_type(source, response)
     with np.errstate(over="ignore", invalid="ignore"):
         guard = cfg.norm_guard
         if guard is None:
-            rms = float(np.sqrt(np.mean(state.norms**2)))
-            guard = max(1e-12 * rms, np.finfo(float).tiny)
-        # conj(Phi) Y^T summed over blocks, conjugated once at the end
-        cross = np.zeros((n_bins, channels, channels), dtype=np.complex128)
-        for blocks in _block_chunks(n_blocks):
-            chunk = y[:, :, blocks]
-            phi_conj = np.conj(chunk)
-            phi_conj *= 1.0 / (state.norms[blocks].T + guard)
-            cross += phi_conj @ chunk.transpose(0, 2, 1)
+            if outputs_given:
+                mean_power = np.mean(state.norms**2)
+            else:
+                # sum_v w_v tr(W_v C_v W_v^H) / (M N P), C_v = sum_n X X^H
+                power = np.sum((response @ state.covariance) * np.conj(response), axis=(1, 2))
+                mean_power = (scale @ power.real) / (n_blocks * channels)
+            guard = max(1e-12 * float(np.sqrt(mean_power)), np.finfo(float).tiny)
+        # conj(Phi) Y^T summed over blocks, conjugated once at the end; each
+        # chunk's outputs and score go to two buffers reused chunk by chunk
+        cross = np.zeros((n_bins, channels, channels), dtype=dtype)
+        chunks = _block_chunks(n_blocks, n_bins * channels * np.dtype(dtype).itemsize)
+        chunk_size = n_bins * channels * (chunks[0].stop - chunks[0].start)
+        work = np.empty(chunk_size, dtype=dtype)
+        out = None if outputs_given else np.empty(chunk_size, dtype=dtype)
+        for blocks in chunks:
+            if outputs_given:
+                y = source[:, :, blocks]
+                norms = state.norms[blocks].T
+            else:
+                x = source[:, :, blocks]
+                y = np.matmul(response, x, out=out[: x.size].reshape(x.shape))
+                norms = _chunk_norms(y, scale, work)
+            phi_conj = np.multiply(y, 1.0 / (norms + guard), out=work[: y.size].reshape(y.shape))
+            if np.iscomplexobj(phi_conj):
+                np.conjugate(phi_conj, out=phi_conj)
+            cross += phi_conj @ y.transpose(0, 2, 1)
         bracket = np.eye(channels) - np.conj(cross) / n_blocks
         norms = np.linalg.norm(bracket, axis=(1, 2))
         new_response = response + cfg.step_size * (bracket @ response)
@@ -198,6 +214,21 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
         raise NumericalDivergenceError(state.iteration, int(np.argmax(bad)))
     mean_norm = float(weights @ norms / weights.sum())
     return FrequencyFilterBank(new_response), mean_norm, float(norms.max())
+
+
+def _chunk_norms(y: np.ndarray, scale: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(channels, blocks) broadband norms of a bins-major outputs chunk:
+    the root of the mean over the full spectrum, kept bin v weighted
+    scale[v]. The squared magnitudes go to work, as float64."""
+    squared = work.view(np.float64)[: y.size].reshape(y.shape)
+    if np.iscomplexobj(y):
+        np.square(y.real, out=squared)
+        imag = work.view(np.float64)[y.size : 2 * y.size].reshape(y.shape)
+        squared += np.square(y.imag, out=imag)
+    else:
+        np.square(y, out=squared)
+    power = scale @ squared.reshape(len(scale), -1)
+    return np.sqrt(power, out=power).reshape(y.shape[1:])
 
 
 def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:
@@ -228,24 +259,37 @@ def _raise_singular(bin_index: int):
 
 
 def _half_spectrum(data: np.ndarray) -> np.ndarray:
-    """Bins 0..M/2 of (channels, blocks, M) frames, bins-major.
+    """Bins 0..M/2 of (channels, blocks, M) frames, bins-major; float64
+    when all of them are exactly real (as at M = 2), complex otherwise.
 
     Raises ParameterError unless bin M-v is the conjugate of bin v (so the
     DC and Nyquist bins are real) to within _SYMMETRY_RTOL of the largest
     magnitude. Checked bin by bin, so no temporary reaches the frames' size.
     """
     n_bins = data.shape[2]
-    half = np.ascontiguousarray(data[:, :, : n_bins // 2 + 1].transpose(2, 0, 1))
-    tol = _SYMMETRY_RTOL * max(float(np.max(np.abs(kept))) for kept in half)
-    for v, kept in enumerate(half):
+    kept = data[:, :, : n_bins // 2 + 1]
+    tol = _SYMMETRY_RTOL * max(float(np.max(np.abs(data[:, :, v]))) for v in range(kept.shape[2]))
+    for v in range(kept.shape[2]):
         mirror = data[:, :, -v % n_bins]
-        for gap in (kept.real - mirror.real, kept.imag + mirror.imag):
+        for gap in (kept[:, :, v].real - mirror.real, kept[:, :, v].imag + mirror.imag):
             if np.max(np.abs(gap, out=gap)) > tol:
                 raise ParameterError(
                     f"frames are not conjugate-symmetric: bin {v} is not the conjugate "
                     f"of bin {-v % n_bins} (the input must be real)"
                 )
-    return half
+    if not np.any(kept.imag):
+        kept = kept.real
+    return np.ascontiguousarray(kept.transpose(2, 0, 1))
+
+
+def _covariance(x: np.ndarray) -> np.ndarray:
+    """Per-bin sum over blocks of X X^H for bins-major (bins, channels, blocks) X."""
+    n_bins, channels, n_blocks = x.shape
+    cov = np.zeros((n_bins, channels, channels), dtype=x.dtype)
+    for blocks in _block_chunks(n_blocks, n_bins * channels * x.itemsize):
+        chunk = x[:, :, blocks]
+        cov += chunk @ np.conj(chunk.transpose(0, 2, 1))
+    return cov
 
 
 def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, ConvergenceTrace]:
@@ -255,9 +299,9 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     Expects centered frames of a real signal (conjugate-symmetric in the
     bins) with an even power-of-two bin count M = 2L and at least two
     blocks. The loop runs on bins 0..L only, transposed once to (bins,
-    channels, blocks); the other bins stay their conjugates throughout.
-    The bank is read out with the real inverse DFT, so nothing imaginary
-    is discarded.
+    channels, blocks), in float64 when those bins are exactly real; the
+    other bins stay their conjugates throughout. The bank is read out with
+    the real inverse DFT, so nothing imaginary is discarded.
     """
     n_bins = frames.n_bins
     if n_bins % 2 != 0:
@@ -267,15 +311,16 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     filter_length = n_bins // 2
 
     x = _half_spectrum(frames.data)
+    cov = _covariance(x)
     weights = np.full(filter_length + 1, 2.0)
     weights[[0, -1]] = 1.0
-    y = x.copy()
-    bank = FrequencyFilterBank.identity(filter_length + 1, frames.n_channels)
+    eye = np.eye(frames.n_channels, dtype=x.dtype)
+    bank = FrequencyFilterBank(np.tile(eye, (filter_length + 1, 1, 1)))
     mean_trace: list[float] = []
     max_trace: list[float] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        state = IterationState(bank, y, _half_spectrum_norms(y, weights), mean_trace, weights)
+        state = IterationState(bank, x, None, mean_trace, weights, cov)
         try:
             bank, mean_norm, max_norm = update_step(state, cfg)
             bank = minimum_distortion(bank)
@@ -291,7 +336,6 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
         if mean_norm <= cfg.convergence_tol * mean_trace[0]:
             converged = True
             break
-        np.matmul(bank.response, x, out=y)
 
     impulse = np.fft.irfft(bank.response, n=n_bins, axis=0)  # (lags, P, P)
     total = float(np.sum(impulse**2))

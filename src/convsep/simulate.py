@@ -12,8 +12,9 @@ mixing model cannot represent.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +130,7 @@ class SimScenario:
 
     n_sensors must equal n_sources (square demixing); gains are amplitude
     ratios of each source's sensor image against the EMG reference level.
+    Every float value, in tuples too, must be finite.
     """
 
     n_sources: int = 4
@@ -153,6 +155,11 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.n_sources != self.n_sensors:
             raise ParameterError(
                 f"sensor count ({self.n_sensors}) must equal source count ({self.n_sources})"

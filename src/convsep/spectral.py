@@ -105,12 +105,15 @@ class SpectralFrames:
 
 @dataclass(frozen=True)
 class FrequencyFilterBank:
-    """Per-bin complex demixing matrices, (bins, channels, channels)."""
+    """Per-bin demixing matrices, (bins, channels, channels): complex128,
+    or float64 when given as float64 (a bank of exactly real bins)."""
 
     response: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.response, dtype=np.complex128)
+        arr = np.asarray(self.response)
+        if arr.dtype != np.float64:
+            arr = arr.astype(np.complex128)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ParameterError(f"response must be (bins, P, P), got {arr.shape}")
         if not np.all(np.isfinite(arr)):

@@ -110,6 +110,9 @@ class TestSimulateCommand:
             ({"scenario": {"breath_period_s": 0}}, "breath_period_s"),
             ({"scenario": {"ecg_bpm": 0}}, "ecg_bpm"),
             ({"scenario": {"conduction_velocity_m_s": 0.5}}, "conduction_velocity_m_s"),
+            ({"iva": {"convergence_tol": float("nan")}}, "convergence_tol"),
+            ({"seed": -1}, "seed"),
+            ({"scenario": {"emg_gain": float("nan")}}, "emg_gain"),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
@@ -117,6 +120,13 @@ class TestSimulateCommand:
         write_config(cfg, **overrides)
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["simulate", "--config", str(cfg), "--seed", "-5"]) == 2
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):

@@ -86,6 +86,7 @@ class TestIvaConfig:
             {"max_iterations": 0},
             {"convergence_tol": -1e-3},
             {"norm_guard": 0.0},
+            {"convergence_tol": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -401,3 +402,35 @@ class TestHalfSpectrumLoop:
                     tracemalloc.stop()
 
         assert peak(run_iva) < peak(reference_iva)
+
+    @pytest.mark.parametrize("filter_length, bound", [(1, 2.0), (64, 1.0)])
+    def test_peak_memory_below_frames_multiple(self, filter_length, bound):
+        # one chunked pass per iteration holds no outputs array of the
+        # frames' size; at L = 1 the kept bins are also real
+        frames = mixture_frames(filter_length, n_samples=1 << 16)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            run_iva(frames, IvaConfig(step_size=0.05, max_iterations=3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < bound * frames.data.nbytes
+
+    @pytest.mark.parametrize("filter_length, dtype", [(1, np.float64), (8, np.complex128)])
+    def test_iterates_real_only_when_kept_bins_are_real(self, monkeypatch, filter_length, dtype):
+        # at L = 1 the kept bins are DC and Nyquist, exactly real
+        seen = []
+        step = convsep.iva.update_step
+
+        def spy(state, cfg):
+            seen.append(state.filters.response.dtype)
+            return step(state, cfg)
+
+        monkeypatch.setattr(convsep.iva, "update_step", spy)
+        run_iva(mixture_frames(filter_length), IvaConfig(step_size=0.05, max_iterations=3))
+        assert seen == [np.dtype(dtype)] * 3

@@ -166,6 +166,22 @@ class TestFilterTransforms:
         back = filters_to_time(filters_to_freq(bank), 8)
         np.testing.assert_allclose(back.coeffs, bank.coeffs, atol=1e-10)
 
+    def test_real_response_stays_real(self):
+        # a bank of exactly real bins (M = 2: DC and Nyquist) keeps float64;
+        # any other dtype becomes complex128
+        rng = np.random.default_rng(13)
+        response = rng.standard_normal((2, 3, 3))
+        fb = FrequencyFilterBank(response)
+        assert fb.response.dtype == np.float64
+        np.testing.assert_array_equal(fb.response, response)
+        for other in (response.astype(np.float32), response.astype(complex), np.ones((2, 3, 3), int)):
+            assert FrequencyFilterBank(other).response.dtype == np.complex128
+        # the one causal lag of an M = 2 bank is the mean of its two bins
+        bank = filters_to_time(fb, 1)
+        np.testing.assert_allclose(bank.coeffs[:, :, 0], (response[0] + response[1]) / 2, atol=1e-15)
+        complex_bank = filters_to_time(FrequencyFilterBank(response.astype(complex)), 1)
+        np.testing.assert_array_equal(bank.coeffs, complex_bank.coeffs)
+
     def test_to_time_requires_m_equals_2l(self):
         with pytest.raises(ParameterError):
             filters_to_time(FrequencyFilterBank.identity(16, 2), 4)
