@@ -8,7 +8,6 @@ the per-output contributions sum to the pipeline output.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
@@ -41,6 +40,11 @@ __all__ = [
 
 DB_CAP = 100.0
 MAX_ASSIGNMENT_CHANNELS = 6
+# Samples formatted per write in write_envelopes_csv. A block's Python floats
+# and strings stay well under moving_rms's temporaries, so the writer's peak
+# memory is that of moving_rms; formatting the whole file at once more than
+# doubles it.
+_CSV_BLOCK_SAMPLES = 1024
 
 
 def _db_ratio(num: float, den: float) -> float:
@@ -271,11 +275,20 @@ def moving_rms(ts: TimeSeries, window_s: float = 0.05) -> np.ndarray:
 
 
 def write_envelopes_csv(ts: TimeSeries, path, window_s: float = 0.05) -> None:
-    """CSV of envelope traces: time_s, env_out1, env_out2, ..."""
+    """CSV of envelope traces: time_s, env_out1, env_out2, ...
+
+    One row per sample, time ``i * sample_interval_s``, every value as the
+    shortest round-trip ``repr`` of its float64, CRLF line ends (the bytes
+    ``csv.writer`` writes for the same rows)."""
     env = moving_rms(ts, window_s)
+    interval = ts.meta.sample_interval_s
+    n = ts.n_samples
+    row = ",".join(["%r"] * (ts.n_channels + 1)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)])
-        interval = ts.meta.sample_interval_s
-        for i in range(ts.n_samples):
-            writer.writerow([repr(i * interval)] + [repr(float(v)) for v in env[:, i]])
+        header = ["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)]
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, _CSV_BLOCK_SAMPLES):
+            stop = min(start + _CSV_BLOCK_SAMPLES, n)
+            block = np.vstack([np.arange(start, stop) * interval, env[:, start:stop]])
+            # one %-format call per block; %r gives repr of each Python float
+            fh.write(row * (stop - start) % tuple(block.T.ravel().tolist()))

@@ -1,4 +1,6 @@
+import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from convsep.metrics import (
     project_images,
     sdr,
     sir,
+    write_envelopes_csv,
 )
 from convsep.signal import SignalMetadata, TimeSeries, highpass_dc_removal
 from convsep.simulate import build_scenario, delayed_pair_scenario
@@ -307,3 +310,67 @@ class TestMovingRms:
         env = moving_rms(make_ts(x), window_s=0.05)
         assert env[0, 500] > 0.9
         assert env[0, 100] == 0.0
+
+
+def loop_envelopes_csv(ts, path, window_s=0.05):
+    """Row-at-a-time oracle: the writer as first built, one csv.writer row per sample."""
+    env = moving_rms(ts, window_s)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)])
+        interval = ts.meta.sample_interval_s
+        for i in range(ts.n_samples):
+            writer.writerow([repr(i * interval)] + [repr(float(v)) for v in env[:, i]])
+
+
+def wide_range_signal(n_channels, n_samples, seed=0):
+    """Channels whose magnitudes ramp geometrically between 1e-300 and 1e12
+    (rising on even channels, falling on odd ones), with an all-zero stretch
+    at the start of each, so the envelopes hold exact zeros, underflowed
+    squares and exponent-form values."""
+    rng = np.random.default_rng(seed)
+    exponents = np.linspace(-300.0, 12.0, n_samples)
+    data = np.empty((n_channels, n_samples))
+    for p in range(n_channels):
+        ramp = 10.0 ** (exponents if p % 2 == 0 else exponents[::-1])
+        data[p] = ramp * rng.uniform(0.5, 1.5, n_samples) * rng.choice([-1.0, 1.0], n_samples)
+        data[p, : max(1, n_samples // 8) + 7 * p] = 0.0
+    return data
+
+
+class TestWriteEnvelopesCsv:
+    @pytest.mark.parametrize("n_channels", [1, 4])
+    @pytest.mark.parametrize("n_samples", [1, 1023, 1024, 1025, 3 * 1024 + 7])
+    @pytest.mark.parametrize("sample_interval_s", [1e-3, 1 / 2400])
+    def test_bytes_match_row_loop(self, make_ts, tmp_path, n_channels, n_samples, sample_interval_s):
+        ts = make_ts(wide_range_signal(n_channels, n_samples), sample_interval_s)
+        write_envelopes_csv(ts, tmp_path / "blocks.csv")
+        loop_envelopes_csv(ts, tmp_path / "loop.csv")
+        got = (tmp_path / "blocks.csv").read_bytes()
+        assert got == (tmp_path / "loop.csv").read_bytes()
+        assert got.count(b"\r\n") == n_samples + 1
+
+    def test_inputs_reach_exponent_forms_and_zero(self, make_ts):
+        env = moving_rms(make_ts(wide_range_signal(4, 3 * 1024 + 7)))
+        text = [repr(v) for v in env.ravel().tolist()]
+        exponents = [int(v.partition("e")[2]) for v in text if "e" in v]
+        assert "0.0" in text
+        assert min(exponents) < -150
+        assert env.max() > 1e11
+
+    @pytest.mark.parametrize("n_samples", [16_384, 61_475])
+    def test_peak_memory_within_moving_rms(self, make_ts, tmp_path, n_samples):
+        rng = np.random.default_rng(1)
+        ts = make_ts(rng.standard_normal((4, n_samples)))
+
+        def traced_peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rms_peak = traced_peak(moving_rms, ts)
+        csv_peak = traced_peak(write_envelopes_csv, ts, tmp_path / "env.csv")
+        assert csv_peak <= 1.05 * rms_peak
