@@ -115,14 +115,14 @@ def project_images(
     """
     if not images:
         raise ParameterError("need at least one source image")
-    out = []
-    for img in images:
+    contributions = np.empty((len(images), bank.n_channels, images[0].n_samples))
+    for q, img in enumerate(images):
         if img.n_channels != bank.n_channels:
             raise ParameterError(
                 f"image has {img.n_channels} channels, bank expects {bank.n_channels}"
             )
-        out.append(apply_mimo_fir(bank, apply_sphering(sphering, img)).data)
-    return np.stack(out)
+        contributions[q] = apply_mimo_fir(bank, apply_sphering(sphering, img)).data
+    return contributions
 
 
 def sir(contributions: np.ndarray, transient: int = 0) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -138,7 +138,8 @@ def sir(contributions: np.ndarray, transient: int = 0) -> tuple[tuple[int, ...],
     n_src = contributions.shape[0]
     if n_src > MAX_ASSIGNMENT_CHANNELS:
         raise ParameterError(f"assignment search supports at most {MAX_ASSIGNMENT_CHANNELS} channels")
-    power = np.sum(contributions[:, :, transient:] ** 2, axis=2)  # (source, output)
+    tail = contributions[:, :, transient:]
+    power = np.vecdot(tail, tail)  # (source, output), no squared copy
     if float(power.sum()) == 0.0:
         raise UndefinedSirError("all contributions are zero")
     ratios = _own_vs_rest_db(power)
@@ -264,14 +265,29 @@ def moving_rms(ts: TimeSeries, window_s: float = 0.05) -> np.ndarray:
     if not window_s > 0:
         raise ParameterError(f"window must be positive, got {window_s}")
     half = max(1, int(round(window_s / ts.meta.sample_interval_s))) // 2
-    squared = ts.data**2
-    padded = np.concatenate(
-        [np.zeros((ts.n_channels, 1)), np.cumsum(squared, axis=1)], axis=1
-    )
     n = ts.n_samples
-    lo = np.maximum(np.arange(n) - half, 0)
-    hi = np.minimum(np.arange(n) + half + 1, n)
-    return np.sqrt((padded[:, hi] - padded[:, lo]) / (hi - lo))
+    # padded[:, i] is the sum of the first i squares
+    padded = np.empty((ts.n_channels, n + 1))
+    padded[:, 0] = 0.0
+    np.square(ts.data, out=padded[:, 1:])
+    np.cumsum(padded[:, 1:], axis=1, out=padded[:, 1:])
+    # sample i averages over [lo, hi) = [max(i - half, 0), min(i + half + 1, n)).
+    # Cut where either bound starts or stops clipping: within each piece lo
+    # and hi are each fixed or shifted with i, so both are basic slices.
+    env = np.empty((ts.n_channels, n))
+    cuts = sorted({0, min(half, n), max(n - half, 0), n})
+    for start, stop in zip(cuts, cuts[1:]):
+        lo_fixed, hi_fixed = start < half, stop > n - half
+        lo_cols = padded[:, :1] if lo_fixed else padded[:, start - half : stop - half]
+        hi_cols = padded[:, n:] if hi_fixed else padded[:, start + half + 1 : stop + half + 1]
+        piece = env[:, start:stop]
+        np.subtract(hi_cols, lo_cols, out=piece)
+        if lo_fixed or hi_fixed:
+            i = np.arange(start, stop)
+            piece /= (n if hi_fixed else i + half + 1) - (0 if lo_fixed else i - half)
+        else:
+            piece /= 2 * half + 1
+    return np.sqrt(env, out=env)
 
 
 def write_envelopes_csv(ts: TimeSeries, path, window_s: float = 0.05) -> None:

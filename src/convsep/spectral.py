@@ -188,11 +188,20 @@ def stft(ts: TimeSeries, n_bins: int, hop: int, window_id: str = "zeropad") -> S
         raise ParameterError(f"signal has {n} samples, shorter than one {n_bins}-sample block")
     window = make_window(window_id, n_bins)
     n_blocks = (n - n_bins) // hop + 1
-    starts = np.arange(n_blocks) * hop
-    # (channels, blocks, bins) view of the windowed blocks
-    idx = starts[:, None] + np.arange(n_bins)[None, :]
-    blocks = ts.data[:, idx] * window
-    frames = np.fft.fft(blocks, axis=2)
+    # the window's support: samples past its last nonzero tap are zero-padding
+    # for the rfft (an all-zero window, hann at M = 1, keeps one sample)
+    support = max(len(np.trim_zeros(window, "b")), 1)
+    # (channels, blocks, support) view of the blocks, no copy of the signal
+    blocks = np.lib.stride_tricks.sliding_window_view(ts.data, support, axis=1)
+    blocks = blocks[:, : (n_blocks - 1) * hop + 1 : hop]
+    # only a window that is not all ones over its support needs a product (a copy)
+    if np.any(window[:support] != 1.0):
+        blocks = blocks * window[:support]
+    frames = np.empty((ts.n_channels, n_blocks, n_bins), dtype=np.complex128)
+    half = n_bins // 2
+    np.fft.rfft(blocks, n=n_bins, axis=2, out=frames[:, :, : half + 1])
+    # real input: bin M - v is the conjugate of bin v
+    np.conjugate(frames[:, :, half - 1 : 0 : -1], out=frames[:, :, half + 1 :])
     return SpectralFrames(frames, hop, window_id, ts.meta)
 
 

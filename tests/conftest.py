@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,3 +17,25 @@ def make_ts():
         return TimeSeries(data, SignalMetadata(sample_interval_s, labels))
 
     return _make
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args): tracemalloc's peak while fn(*args) runs, in
+    bytes above what was already traced. fn's result counts: it is still
+    alive when the peak is read."""
+
+    def _peak(fn, *args):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return _peak

@@ -111,19 +111,24 @@ def _emg_and_ecg_improvements(scenario, report):
 
 class TestCriterion1RespiratoryScenario:
     def test_emg_improvement_and_runtime(self):
-        emg_means, runtimes = [], []
+        emg_means, runtimes, output_sirs = [], [], []
         for seed in SEEDS:
             scenario, _, report, elapsed = bench_run(seed)
             emg, _ = _emg_and_ecg_improvements(scenario, report)
             assert len(emg) == 2
             emg_means.append(float(np.mean(emg)))
             runtimes.append(elapsed)
+            per_output = ", ".join(
+                f"{scenario.source_kinds[src]} {val:.1f}"
+                for src, val in zip(report.assignment, report.sir_db)
+            )
+            output_sirs.append(f"\n  seed {seed} output SIR dB: {per_output}")
         median_emg = float(np.median(emg_means))
         ok = median_emg >= 15.0 and max(runtimes) < 60.0
         print(
             f"\n[criterion 1 / EMG] {'PASS' if ok else 'FAIL'}: median EMG "
             f"improvement {median_emg:.1f} dB (bar 15.0), slowest run "
-            f"{max(runtimes):.1f} s (bar 60)"
+            f"{max(runtimes):.1f} s (bar 60)" + "".join(output_sirs)
         )
         assert median_emg >= 15.0
         assert max(runtimes) < 60.0

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -384,41 +382,17 @@ class TestHalfSpectrumLoop:
         assert calls == {"update_step": 7, "minimum_distortion": 7}
 
     @pytest.mark.parametrize("filter_length", [1, 64])
-    def test_peak_memory_below_reference_loop(self, filter_length):
+    def test_peak_memory_below_reference_loop(self, traced_peak, filter_length):
         frames = mixture_frames(filter_length, n_samples=1 << 16)
         cfg = IvaConfig(step_size=0.05, max_iterations=3)
-
-        def peak(loop):
-            started = not tracemalloc.is_tracing()
-            if started:
-                tracemalloc.start()
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            try:
-                loop(frames, cfg)
-                return tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if started:
-                    tracemalloc.stop()
-
-        assert peak(run_iva) < peak(reference_iva)
+        assert traced_peak(run_iva, frames, cfg) < traced_peak(reference_iva, frames, cfg)
 
     @pytest.mark.parametrize("filter_length, bound", [(1, 2.0), (64, 1.0)])
-    def test_peak_memory_below_frames_multiple(self, filter_length, bound):
+    def test_peak_memory_below_frames_multiple(self, traced_peak, filter_length, bound):
         # one chunked pass per iteration holds no outputs array of the
         # frames' size; at L = 1 the kept bins are also real
         frames = mixture_frames(filter_length, n_samples=1 << 16)
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        try:
-            run_iva(frames, IvaConfig(step_size=0.05, max_iterations=3))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
+        peak = traced_peak(run_iva, frames, IvaConfig(step_size=0.05, max_iterations=3))
         assert peak < bound * frames.data.nbytes
 
     @pytest.mark.parametrize("filter_length, dtype", [(1, np.float64), (8, np.complex128)])

@@ -1,6 +1,5 @@
 import csv
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +128,11 @@ class TestSir:
         assert skipped[0] == DB_CAP
         assert with_transient[0] < 0
 
+    def test_peak_memory_far_below_contributions(self, traced_peak):
+        # the (source, output) powers need no squared copy of the contributions
+        contrib = np.random.default_rng(9).standard_normal((4, 4, 61_475))
+        assert traced_peak(sir, contrib, 64) <= 0.1 * contrib.nbytes
+
 
 class TestProjectImages:
     def _setup(self, seed=0, n=400):
@@ -174,6 +178,17 @@ class TestProjectImages:
         ).data
         scale = np.sqrt(np.mean(output**2))
         np.testing.assert_allclose(contrib.sum(axis=0), output, atol=1e-9 * scale)
+
+    def test_peak_memory_within_contributions_and_three_images(self, traced_peak):
+        # each image's contribution goes straight into the result array
+        rng = np.random.default_rng(7)
+        meta = SignalMetadata(1e-3, ("c1", "c2", "c3", "c4"))
+        images = [TimeSeries(rng.standard_normal((4, 61_475)), meta) for _ in range(4)]
+        bank = DemixFilterBank(rng.standard_normal((4, 4, 64)))
+        transform = SpheringTransform.identity(4)
+        image_bytes = images[0].data.nbytes
+        peak = traced_peak(project_images, bank, transform, images)
+        assert peak <= len(images) * image_bytes + 3 * image_bytes
 
 
 class TestSdr:
@@ -311,6 +326,25 @@ class TestMovingRms:
         assert env[0, 500] > 0.9
         assert env[0, 100] == 0.0
 
+    @pytest.mark.parametrize("n_samples", [1, 2, 24, 25, 26, 49, 50, 51, 52, 1000])
+    @pytest.mark.parametrize("window_s", [0.001, 0.05, 0.5])
+    def test_matches_gather_formula(self, make_ts, n_samples, window_s):
+        # the envelope as first built, from fancy-indexed window bounds;
+        # window_s = 0.05 at 1 ms gives half = 25, so these lengths put the
+        # clipped edges apart, touching and overlapping
+        x = wide_range_signal(3, n_samples, seed=n_samples)
+        half = max(1, int(round(window_s / 1e-3))) // 2
+        padded = np.concatenate([np.zeros((3, 1)), np.cumsum(x**2, axis=1)], axis=1)
+        lo = np.maximum(np.arange(n_samples) - half, 0)
+        hi = np.minimum(np.arange(n_samples) + half + 1, n_samples)
+        want = np.sqrt((padded[:, hi] - padded[:, lo]) / (hi - lo))
+        assert np.array_equal(moving_rms(make_ts(x), window_s), want)
+
+    @pytest.mark.parametrize("n_samples", [16_384, 61_475])
+    def test_peak_memory_within_input_multiple(self, make_ts, traced_peak, n_samples):
+        ts = make_ts(np.random.default_rng(1).standard_normal((4, n_samples)))
+        assert traced_peak(moving_rms, ts) <= 3.5 * ts.data.nbytes
+
 
 def loop_envelopes_csv(ts, path, window_s=0.05):
     """Row-at-a-time oracle: the writer as first built, one csv.writer row per sample."""
@@ -359,18 +393,9 @@ class TestWriteEnvelopesCsv:
         assert env.max() > 1e11
 
     @pytest.mark.parametrize("n_samples", [16_384, 61_475])
-    def test_peak_memory_within_moving_rms(self, make_ts, tmp_path, n_samples):
+    def test_peak_memory_within_moving_rms(self, make_ts, traced_peak, tmp_path, n_samples):
         rng = np.random.default_rng(1)
         ts = make_ts(rng.standard_normal((4, n_samples)))
-
-        def traced_peak(fn, *args):
-            tracemalloc.start()
-            try:
-                fn(*args)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         rms_peak = traced_peak(moving_rms, ts)
         csv_peak = traced_peak(write_envelopes_csv, ts, tmp_path / "env.csv")
         assert csv_peak <= 1.05 * rms_peak

@@ -96,6 +96,34 @@ class TestStft:
         with pytest.raises(ParameterError):
             stft(make_ts(np.zeros((1, 64))), 12, 4)
 
+    @pytest.mark.parametrize("window_id", ["zeropad", "hann", "rect"])
+    @pytest.mark.parametrize("n_bins", [1, 2, 8, 128])
+    @pytest.mark.parametrize("hop_div", [None, 2, 1])
+    def test_matches_full_fft_of_gathered_blocks(self, make_ts, window_id, n_bins, hop_div):
+        # the framing as first built: gather every block, window it, and take
+        # the full complex FFT; hop_div None means hop 1
+        hop = 1 if hop_div is None else max(n_bins // hop_div, 1)
+        x = np.random.default_rng(n_bins + hop).standard_normal((3, 5 * n_bins + 3))
+        n_blocks = (x.shape[1] - n_bins) // hop + 1
+        idx = (np.arange(n_blocks) * hop)[:, None] + np.arange(n_bins)[None, :]
+        want = np.fft.fft(x[:, idx] * make_window(window_id, n_bins), axis=2)
+        got = stft(make_ts(x), n_bins, hop, window_id).data
+        if n_bins <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        mirrored = n_bins - np.arange(1, n_bins)
+        assert np.array_equal(got[:, :, mirrored], np.conj(got[:, :, 1:]))
+
+    @pytest.mark.parametrize("n_channels, n_samples, n_bins", [(4, 61_475, 128), (2, 122_951, 2)])
+    def test_peak_memory_near_frames_size(self, make_ts, traced_peak, n_channels, n_samples, n_bins):
+        # the pipeline's framing: zeropad, hop = L = M / 2; one rfft of each
+        # block's support writes into the frames, mirrored in place
+        ts = make_ts(np.random.default_rng(2).standard_normal((n_channels, n_samples)))
+        hop = n_bins // 2
+        frames_bytes = n_channels * ((n_samples - n_bins) // hop + 1) * n_bins * 16
+        assert traced_peak(stft, ts, n_bins, hop) <= 1.3 * frames_bytes
+
 
 class TestCenter:
     def test_already_centered_unchanged(self, make_ts):
