@@ -6,7 +6,7 @@ a synthetic convolutive EMG/ECG mixture generator, and a
 permutation-aligned SIR/SDR evaluation harness.
 """
 
-from .demix import PipelineConfig, PipelineResult, absorb_sphering, apply_mimo_fir, demix_pipeline
+from .demix import PipelineConfig, PipelineResult, apply_mimo_fir, demix_pipeline
 from .errors import (
     ConvsepError,
     DataError,
@@ -51,7 +51,6 @@ from .simulate import (
     diagonal_scenario,
     generate_ecg_interferer,
     generate_impulse_train,
-    generate_muap_kernel,
     instantaneous_pair_scenario,
     mix,
     muap_kernel_components,
@@ -68,7 +67,6 @@ from .spectral import (
     load_filter_bank,
     save_filter_bank,
     stft,
-    truncation_diagnostics,
 )
 from .sphering import (
     SpheringTransform,

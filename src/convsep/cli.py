@@ -27,7 +27,17 @@ from .errors import (
 )
 from .iva import IvaConfig, write_trace_csv
 from .metrics import evaluate_separation, trace_summary, write_envelopes_csv
-from .signal import SignalMetadata, TimeSeries, read_raw, write_raw
+from .signal import (
+    SignalMetadata,
+    TimeSeries,
+    _json_float,
+    _json_int,
+    _json_list,
+    _json_str,
+    read_raw,
+    write_json,
+    write_raw,
+)
 from .simulate import (
     SimScenario,
     build_scenario,
@@ -70,36 +80,6 @@ def _json_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
-
-
-def _json_int(value) -> int:
-    """A JSON integer, or a float with an integral value; never a boolean."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _json_float(value) -> float:
-    """A JSON number; never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _json_str(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _json_list(coerce):
-    def coerce_list(value) -> tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"expected a JSON list, got {value!r}")
-        return tuple(coerce(item) for item in value)
-
-    return coerce_list
 
 
 def _scenario_kind(value) -> str:
@@ -201,12 +181,6 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     return seed, out_dir, scenario, pipeline_cfg, echo
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_simulate(out_dir: Path, scenario: SimScenario) -> None:
     sim = build_scenario(scenario)
     write_raw(sim.mixed, out_dir / "mixed.raw", out_dir / "mixed.json")
@@ -252,7 +226,7 @@ def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
         "iva": trace_summary(result.trace),
         "refinement": result.refinement.to_dict(),
     }
-    _write_json(report, out_dir / "run_report.json")
+    write_json(report, out_dir / "run_report.json")
 
 
 def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> None:
@@ -280,7 +254,7 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
     payload = report.to_dict()
     payload["convergence"] = run_report.get("iva")
     payload["refinement"] = run_report.get("refinement")
-    _write_json(payload, out_dir / "report.json")
+    write_json(payload, out_dir / "report.json")
     separated = read_raw(out_dir / "separated.raw", out_dir / "separated.json")
     write_envelopes_csv(separated, out_dir / "envelopes.csv")
 
@@ -295,7 +269,7 @@ def _run(args) -> int:
         cmd_separate(out_dir, cfg)
     if args.command in ("evaluate", "pipeline"):
         cmd_evaluate(out_dir, scenario, cfg)
-    _write_json(echo, out_dir / "config_echo.json")
+    write_json(echo, out_dir / "config_echo.json")
     return 0
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "PipelineResult",
     "apply_mimo_fir",
     "demix_pipeline",
-    "absorb_sphering",
 ]
 
 
@@ -107,13 +106,3 @@ def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:
     separated = apply_mimo_fir(bank, sphered)
     return PipelineResult(separated, bank, transform, trace, refinement)
 
-
-def absorb_sphering(bank: DemixFilterBank, transform: SpheringTransform) -> DemixFilterBank:
-    """Fold the instantaneous sphering matrix into the FIR bank, giving the
-    equivalent sensor-to-output system: w'[q,:,k] = w[q,:,k] @ T."""
-    if bank.n_channels != transform.n_channels:
-        raise ParameterError(
-            f"bank has {bank.n_channels} channels, transform has {transform.n_channels}"
-        )
-    combined = np.einsum("qrk,rp->qpk", bank.coeffs, transform.matrix)
-    return DemixFilterBank(combined)

@@ -46,10 +46,10 @@ __all__ = [
 # transient ill-conditioning during iteration self-corrects, so the guard
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
-# bytes of outputs per chunk of blocks in update_step: small enough that a
-# chunk's product, norms, score and bracket stay in cache when blocks are
-# many (L = 1), large enough that the per-bin products stay few when bins
-# are many (L = 64)
+# bytes of outputs per chunk of blocks in update_step: it bounds the
+# chunk's product, norms, score and bracket buffers, and so the loop's peak
+# memory (one chunk per pass ran faster at L = 64 on 2 cores, but held
+# outputs the size of the frames)
 _CHUNK_BYTES = 1 << 19
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
@@ -243,19 +243,15 @@ def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:
             inverse = np.linalg.inv(response)
         except np.linalg.LinAlgError:
             dets = np.abs(np.linalg.det(response))
-            return _raise_singular(int(np.argmin(dets)))
+            raise SingularFilterError(int(np.argmin(dets)))
     finite = np.all(np.isfinite(inverse).reshape(inverse.shape[0], -1), axis=1)
     if not np.all(finite):
-        return _raise_singular(int(np.argmax(~finite)))
+        raise SingularFilterError(int(np.argmax(~finite)))
     cond = np.linalg.norm(response, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
     if np.any(cond > _MAX_CONDITION):
-        return _raise_singular(int(np.argmax(cond)))
+        raise SingularFilterError(int(np.argmax(cond)))
     diag = np.einsum("vqq->vq", inverse)
     return FrequencyFilterBank(diag[:, :, None] * response)
-
-
-def _raise_singular(bin_index: int):
-    raise SingularFilterError(bin_index)
 
 
 def _half_spectrum(data: np.ndarray) -> np.ndarray:

@@ -164,37 +164,24 @@ class LaggedStatistics:
         p, n = x.shape
         length = filter_length
         self.n_blocks = -(-n // block)
-        # per-block partial first rows, (blocks, P, P*L), built chunk by chunk;
-        # samples past the end count as zeros
+        # lagged vectors, (P, blocks * block, L) with [:, n, k] = x(n - k): a
+        # reversed sliding window over the signal zero-padded by L - 1 samples
+        # in front and out to whole blocks behind
+        padded = np.zeros((p, length - 1 + self.n_blocks * block))
+        padded[:, length - 1 : length - 1 + n] = x
+        lagged = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)[:, :, ::-1]
+        # per-block partial first rows, (blocks, P, P*L), built chunk by chunk
         self._first = np.empty((self.n_blocks, p, p * length))
         per_chunk = max(1, _CHUNK_SAMPLES // block)
         for b0 in range(0, self.n_blocks, per_chunk):
             b1 = min(self.n_blocks, b0 + per_chunk)
-            start, stop = b0 * block, b1 * block
-            current = np.zeros((p, stop - start))
-            current[:, : min(n, stop) - start] = x[:, start:stop]
-            lagged = self._lagged(start, stop).reshape(p * length, b1 - b0, block)
-            self._first[b0:b1] = current.reshape(p, b1 - b0, block).transpose(1, 0, 2) @ (
-                lagged.transpose(1, 2, 0)
-            )
+            chunk = lagged[:, b0 * block : b1 * block]
+            current = chunk[:, :, 0].reshape(p, b1 - b0, block)
+            vectors = chunk.transpose(0, 2, 1).reshape(p * length, b1 - b0, block)
+            self._first[b0:b1] = current.transpose(1, 0, 2) @ vectors.transpose(1, 2, 0)
         # lagged vectors at the last sample of each block, (P*L, blocks)
         ends = np.minimum(np.arange(1, self.n_blocks + 1) * block, n) - 1
-        self._end_vectors = np.zeros((p, length, self.n_blocks))
-        for k in range(length):
-            valid = ends >= k
-            self._end_vectors[:, k, valid] = x[:, ends[valid] - k]
-        self._end_vectors = self._end_vectors.reshape(p * length, self.n_blocks)
-
-    def _lagged(self, start: int, stop: int) -> np.ndarray:
-        """Lagged vectors X(n) for start <= n < stop, as (P*L, stop - start);
-        columns past the end of the signal are zero."""
-        p, n = self.x.shape
-        out = np.zeros((p, self.filter_length, stop - start))
-        for k in range(self.filter_length):
-            lo, hi = max(start, k), min(stop, n)
-            if lo < hi:
-                out[:, k, lo - start : hi - start] = self.x[:, lo - k : hi - k]
-        return out.reshape(p * self.filter_length, stop - start)
+        self._end_vectors = lagged[:, ends].transpose(0, 2, 1).reshape(p * length, self.n_blocks)
 
     def covariance(self, block_weights: np.ndarray | None = None) -> np.ndarray:
         """(P*L, P*L) weighted lagged covariance, symmetric up to rounding;

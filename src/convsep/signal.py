@@ -19,6 +19,7 @@ __all__ = [
     "TimeSeries",
     "read_raw",
     "write_raw",
+    "write_json",
     "highpass_dc_removal",
 ]
 
@@ -36,10 +37,6 @@ class SignalMetadata:
                 f"sample_interval_s must be positive, got {self.sample_interval_s}"
             )
         object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return 1.0 / self.sample_interval_s
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,46 @@ class TimeSeries:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples * self.meta.sample_interval_s
-
     def with_data(self, data: np.ndarray) -> "TimeSeries":
         """Same metadata, new sample values (channel count must match)."""
         return TimeSeries(data, self.meta)
 
 
-def default_labels(n_channels: int) -> tuple[str, ...]:
-    return tuple(f"ch{p + 1}" for p in range(n_channels))
+def _json_int(value) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _json_float(value) -> float:
+    """A JSON number; never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _json_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _json_list(coerce):
+    def coerce_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list, got {value!r}")
+        return tuple(coerce(item) for item in value)
+
+    return coerce_list
+
+
+def write_json(payload, path) -> None:
+    """Write payload as JSON with sorted keys, indent 2 and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_raw(path, header) -> TimeSeries:
@@ -95,15 +121,12 @@ def read_raw(path, header) -> TimeSeries:
     try:
         with open(header, "r", encoding="utf-8") as fh:
             desc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        channels = _json_int(desc["channels"])
+        samples = _json_int(desc["samples"])
+        interval = _json_float(desc["sample_interval_s"])
+        labels = _json_list(_json_str)(desc["labels"])
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read signal header {header}: {exc}") from exc
-    try:
-        channels = int(desc["channels"])
-        samples = int(desc["samples"])
-        interval = float(desc["sample_interval_s"])
-        labels = [str(x) for x in desc["labels"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed signal header {header}: {exc}") from exc
     if channels < 1 or samples < 1:
         raise FormatError(
             f"header declares channels={channels}, samples={samples}; both must be >= 1"
@@ -121,23 +144,19 @@ def read_raw(path, header) -> TimeSeries:
     data = payload.astype(np.float64).reshape(samples, channels).T
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: payload contains non-finite values")
-    return TimeSeries(data, SignalMetadata(interval, tuple(labels)))
+    return TimeSeries(data, SignalMetadata(interval, labels))
 
 
 def write_raw(ts: TimeSeries, path, header) -> None:
     """Write the signal as interleaved little-endian float32 plus a JSON header."""
-    frames = np.ascontiguousarray(ts.data.T, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(frames.tobytes())
+    np.ascontiguousarray(ts.data.T, dtype="<f4").tofile(path)
     desc = {
         "channels": ts.n_channels,
         "samples": ts.n_samples,
         "sample_interval_s": ts.meta.sample_interval_s,
         "labels": list(ts.meta.channel_labels),
     }
-    with open(header, "w", encoding="utf-8") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(desc, header)
 
 
 def highpass_dc_removal(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:

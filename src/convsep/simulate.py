@@ -32,7 +32,6 @@ __all__ = [
     "cyclic_envelope",
     "generate_impulse_train",
     "muap_kernel_components",
-    "generate_muap_kernel",
     "generate_ecg_interferer",
     "mix",
     "build_scenario",
@@ -118,10 +117,6 @@ class MixingSystem:
     @property
     def n_sensors(self) -> int:
         return self.kernels.shape[1]
-
-    @property
-    def kernel_length(self) -> int:
-        return self.kernels.shape[2]
 
 
 @dataclass(frozen=True)
@@ -316,27 +311,6 @@ def muap_kernel_components(
     return prop, eof
 
 
-def generate_muap_kernel(
-    depth_m: float,
-    sensor_offset_m: float,
-    velocity_m_s: float,
-    sample_interval_s: float,
-    kernel_length: int,
-    amplitude: float = 1.0,
-    end_of_fiber_amp: float = 0.3,
-) -> np.ndarray:
-    prop, eof = muap_kernel_components(
-        depth_m,
-        sensor_offset_m,
-        velocity_m_s,
-        sample_interval_s,
-        kernel_length,
-        amplitude,
-        end_of_fiber_amp,
-    )
-    return prop + eof
-
-
 def generate_ecg_interferer(
     bpm: float,
     n: int,
@@ -444,7 +418,7 @@ def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.nda
             offset = abs(p - own) * sc.sensor_spacing_m
             depth_eff = float(np.hypot(sc.source_depths_m[q], sc.lateral_attenuation * offset))
             if sc.mixing == "convolutive":
-                out[p] = generate_muap_kernel(
+                prop, eof = muap_kernel_components(
                     depth_eff,
                     offset,
                     sc.conduction_velocity_m_s,
@@ -453,6 +427,7 @@ def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.nda
                     amplitude=jitter,
                     end_of_fiber_amp=sc.end_of_fiber_amp,
                 )
+                out[p] = prop + eof
             else:
                 out[p, 0] = jitter * (depth_eff / REFERENCE_DEPTH_M) ** -2.0
     return out

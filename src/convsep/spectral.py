@@ -3,7 +3,7 @@
 SpectralFrames hold all M bins of every block, (channels, blocks, bins),
 with M = 2L twice the demixing filter length. The separation stage keeps
 only bins 0..L of these conjugate-symmetric frames (see iva.run_iva);
-filters_to_time and truncation_diagnostics read full M-bin banks.
+filters_to_time reads full M-bin banks.
 """
 
 from __future__ import annotations
@@ -14,19 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .signal import SignalMetadata, TimeSeries
+from .signal import SignalMetadata, TimeSeries, _json_int, write_json
 
 __all__ = [
     "SpectralFrames",
     "FrequencyFilterBank",
     "DemixFilterBank",
-    "TruncationDiagnostics",
     "make_window",
     "stft",
     "center",
     "filters_to_time",
     "filters_to_freq",
-    "truncation_diagnostics",
     "save_filter_bank",
     "load_filter_bank",
 ]
@@ -169,14 +167,6 @@ class DemixFilterBank:
         return cls(coeffs)
 
 
-@dataclass(frozen=True)
-class TruncationDiagnostics:
-    """Energy fractions discarded when reading a frequency bank as a causal FIR."""
-
-    late_lag_energy: float
-    imaginary_energy: float
-
-
 def stft(ts: TimeSeries, n_bins: int, hop: int, window_id: str = "zeropad") -> SpectralFrames:
     """Windowed DFT frames: block m, bin v holds sum_k w[k] x[m*hop+k] e^{-j2pi vk/M}."""
     if not _is_power_of_two(n_bins):
@@ -214,7 +204,7 @@ def center(frames: SpectralFrames) -> SpectralFrames:
 def filters_to_time(fb: FrequencyFilterBank, filter_length: int) -> DemixFilterBank:
     """Causal time-domain reading: M-point inverse DFT, first L lags, real part.
 
-    Requires M = 2L; use truncation_diagnostics for the discarded energy.
+    Requires M = 2L.
     """
     m = fb.n_bins
     if m != 2 * filter_length:
@@ -230,39 +220,22 @@ def filters_to_freq(bank: DemixFilterBank) -> FrequencyFilterBank:
     return FrequencyFilterBank(response.transpose(2, 0, 1))
 
 
-def truncation_diagnostics(fb: FrequencyFilterBank, filter_length: int) -> TruncationDiagnostics:
-    """Energy fractions lost by filters_to_time: late lags and imaginary parts."""
-    m = fb.n_bins
-    if m != 2 * filter_length:
-        raise ParameterError(f"bin count {m} must equal 2 x filter length {filter_length}")
-    impulse = np.fft.ifft(fb.response, axis=0)
-    total = float(np.sum(np.abs(impulse) ** 2))
-    if total == 0.0:
-        return TruncationDiagnostics(0.0, 0.0)
-    late = float(np.sum(np.abs(impulse[filter_length:]) ** 2)) / total
-    kept = impulse[:filter_length]
-    kept_total = float(np.sum(np.abs(kept) ** 2))
-    imag = float(np.sum(np.imag(kept) ** 2)) / kept_total if kept_total > 0 else 0.0
-    return TruncationDiagnostics(late, imag)
-
-
 def save_filter_bank(bank: DemixFilterBank, path, header) -> None:
     """Write {P, L} JSON header plus raw little-endian float64 in (q, p, k) order."""
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(bank.coeffs, dtype="<f8").tobytes())
-    with open(header, "w", encoding="utf-8") as fh:
-        json.dump({"P": bank.n_channels, "L": bank.filter_length}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    np.ascontiguousarray(bank.coeffs, dtype="<f8").tofile(path)
+    write_json({"P": bank.n_channels, "L": bank.filter_length}, header)
 
 
 def load_filter_bank(path, header) -> DemixFilterBank:
     try:
         with open(header, "r", encoding="utf-8") as fh:
             desc = json.load(fh)
-        channels = int(desc["P"])
-        length = int(desc["L"])
+        channels = _json_int(desc["P"])
+        length = _json_int(desc["L"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read filter bank header {header}: {exc}") from exc
+    if channels < 1 or length < 1:
+        raise FormatError(f"header declares P={channels}, L={length}; both must be >= 1")
     payload = np.fromfile(path, dtype="<f8")
     expected = channels * channels * length
     if payload.size != expected:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from convsep.demix import PipelineConfig, absorb_sphering, apply_mimo_fir, demix_pipeline
+from convsep.demix import PipelineConfig, apply_mimo_fir, demix_pipeline
 from convsep.errors import ParameterError
 from convsep.iva import IvaConfig
 from convsep.spectral import DemixFilterBank, filters_to_freq, filters_to_time
-from convsep.sphering import SpheringTransform, apply_sphering, compute_sphering, estimate_spatial_covariance
+from convsep.sphering import apply_sphering
 
 
 def naive_mimo_fir(coeffs, data):
@@ -136,21 +136,3 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             PipelineConfig(filter_length=48)
 
-
-class TestAbsorbSphering:
-    def test_matches_explicit_composition(self, make_ts):
-        rng = np.random.default_rng(8)
-        ts = make_ts(rng.standard_normal((3, 60)))
-        cov = estimate_spatial_covariance(ts)
-        transform = compute_sphering(cov)
-        bank = DemixFilterBank(rng.standard_normal((3, 3, 5)))
-        combined = absorb_sphering(bank, transform)
-        a = apply_mimo_fir(combined, ts).data
-        b = apply_mimo_fir(bank, apply_sphering(transform, ts)).data
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
-
-    def test_identity_transform_is_noop(self):
-        rng = np.random.default_rng(9)
-        bank = DemixFilterBank(rng.standard_normal((2, 2, 4)))
-        out = absorb_sphering(bank, SpheringTransform.identity(2))
-        np.testing.assert_array_equal(out.coeffs, bank.coeffs)

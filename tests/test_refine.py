@@ -25,7 +25,10 @@ def naive_lagged_covariance(x, length, weights):
 
 
 class TestLaggedStatistics:
-    @pytest.mark.parametrize("p,n,length,block", [(2, 90, 4, 8), (3, 61, 3, 7), (2, 40, 1, 1)])
+    @pytest.mark.parametrize(
+        "p,n,length,block",
+        [(2, 90, 4, 8), (3, 61, 3, 7), (2, 40, 1, 1), (2, 50, 9, 4), (1, 7, 8, 3)],
+    )
     def test_matches_naive_sum(self, p, n, length, block):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((p, n))

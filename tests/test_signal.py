@@ -91,6 +91,29 @@ class TestRawIO:
         with pytest.raises(DataError):
             read_raw(raw, header)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"labels": "ab"},
+            {"labels": {"x": 1, "y": 2}},
+            {"labels": ["a", 2]},
+            {"channels": 2.9},
+            {"channels": True, "samples": 4, "labels": ["a"]},
+            {"samples": "2"},
+            {"sample_interval_s": "1e-3"},
+        ],
+    )
+    def test_header_values_are_strict(self, tmp_path, override):
+        # the payload matches the header before the override: 2 channels x 2 samples
+        raw, header = tmp_path / "sig.raw", tmp_path / "sig.json"
+        np.zeros(4, dtype="<f4").tofile(raw)
+        desc = {"channels": 2, "samples": 2, "sample_interval_s": 1e-3, "labels": ["a", "b"]}
+        header.write_text(json.dumps(desc))
+        assert read_raw(raw, header).meta.channel_labels == ("a", "b")
+        header.write_text(json.dumps({**desc, **override}))
+        with pytest.raises(FormatError):
+            read_raw(raw, header)
+
     def test_interleaving_is_frame_major(self, tmp_path, make_ts):
         ts = make_ts([[1.0, 2.0], [10.0, 20.0]])
         raw, header = tmp_path / "sig.raw", tmp_path / "sig.json"

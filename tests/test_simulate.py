@@ -12,7 +12,6 @@ from convsep.simulate import (
     diagonal_scenario,
     generate_ecg_interferer,
     generate_impulse_train,
-    generate_muap_kernel,
     instantaneous_pair_scenario,
     mix,
     muap_kernel_components,
@@ -71,13 +70,13 @@ class TestImpulseTrain:
 
 class TestMuapKernel:
     def test_zero_amplitude(self):
-        k = generate_muap_kernel(0.01, 0.0, 4.0, TA, 16, amplitude=0.0)
-        assert np.all(k == 0.0)
+        prop, eof = muap_kernel_components(0.01, 0.0, 4.0, TA, 16, amplitude=0.0)
+        assert np.all(prop == 0.0) and np.all(eof == 0.0)
 
     def test_support_is_kernel_length(self):
-        k = generate_muap_kernel(0.01, 0.01, 4.0, TA, 16)
-        assert k.shape == (16,)
-        assert np.all(np.isfinite(k))
+        for part in muap_kernel_components(0.01, 0.01, 4.0, TA, 16):
+            assert part.shape == (16,)
+            assert np.all(np.isfinite(part))
 
     def test_depth_ratios(self):
         # direct evaluation of the two wavelet amplitudes: alpha=2 vs beta=1
@@ -98,7 +97,7 @@ class TestMuapKernel:
 
     def test_delay_too_long(self):
         with pytest.raises(ParameterError):
-            generate_muap_kernel(0.01, 0.1, 4.0, TA, 16)
+            muap_kernel_components(0.01, 0.1, 4.0, TA, 16)
 
     def test_offset_sets_delay(self):
         offset = 0.0156  # ~4 samples at 4 m/s

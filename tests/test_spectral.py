@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from convsep.spectral import (
     make_window,
     save_filter_bank,
     stft,
-    truncation_diagnostics,
 )
 
 
@@ -214,17 +215,6 @@ class TestFilterTransforms:
         with pytest.raises(ParameterError):
             filters_to_time(FrequencyFilterBank.identity(16, 2), 4)
 
-    def test_truncation_diagnostics(self):
-        # energy split between early and late lags is reported exactly
-        m, length = 8, 4
-        impulse = np.zeros((m, 1, 1))
-        impulse[1, 0, 0] = 1.0  # early lag
-        impulse[6, 0, 0] = 1.0  # late lag, discarded
-        response = np.fft.fft(impulse, axis=0)
-        diag = truncation_diagnostics(FrequencyFilterBank(response), length)
-        np.testing.assert_allclose(diag.late_lag_energy, 0.5, atol=1e-12)
-        np.testing.assert_allclose(diag.imaginary_energy, 0.0, atol=1e-12)
-
 
 class TestBankIO:
     def test_save_load_roundtrip(self, tmp_path):
@@ -240,6 +230,22 @@ class TestBankIO:
         raw, header = tmp_path / "bank.raw", tmp_path / "bank.json"
         save_filter_bank(bank, raw, header)
         raw.write_bytes(raw.read_bytes()[:-8])
+        with pytest.raises(FormatError):
+            load_filter_bank(raw, header)
+
+    @pytest.mark.parametrize(
+        "desc,values",
+        [
+            ({"P": 0, "L": 4}, 0),
+            ({"P": 1, "L": 0}, 0),
+            ({"P": True, "L": 1.7}, 1),
+            ({"P": 1, "L": "1"}, 1),
+        ],
+    )
+    def test_header_values_are_strict(self, tmp_path, desc, values):
+        raw, header = tmp_path / "bank.raw", tmp_path / "bank.json"
+        np.zeros(values, dtype="<f8").tofile(raw)
+        header.write_text(json.dumps(desc))
         with pytest.raises(FormatError):
             load_filter_bank(raw, header)
 
