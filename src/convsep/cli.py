@@ -1,16 +1,15 @@
 """Command-line entry point: simulate, separate, evaluate, pipeline.
 
 Every run writes a fully resolved config echo next to its outputs;
-re-running any subcommand from that echo reproduces the artifacts
-byte-for-byte. Exit codes: 0 success, 2 usage/config/input error,
-3 numerical failure.
+re-running any subcommand from that echo at the same BLAS thread count
+reproduces the artifacts byte-for-byte. Exit codes: 0 success,
+2 usage/config/input error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
 from pathlib import Path
@@ -34,6 +33,7 @@ from .signal import (
     _json_int,
     _json_list,
     _json_str,
+    read_json,
     read_raw,
     write_json,
     write_raw,
@@ -57,19 +57,6 @@ SCENARIO_PRESETS = {
     "instantaneous_pair": instantaneous_pair_scenario,
     "diagonal": diagonal_scenario,
 }
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise FormatError(f"config {path} must hold a JSON object")
-    return config
 
 
 def _optional(coerce):
@@ -155,8 +142,6 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     seed = _coerce("seed", _json_int, config.get("seed", 0))
     if args.seed is not None:
         seed = args.seed
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
     out_dir = _coerce("out_dir", _json_str, config.get("out_dir", "convsep_out"))
     out_dir = Path(args.out if args.out is not None else out_dir)
 
@@ -242,14 +227,16 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
             raise FormatError(f"missing ground-truth image {raw}; run `convsep simulate` first")
         images.append(read_raw(raw, header))
     bank = load_filter_bank(bank_path, out_dir / "filterbank.json")
-    with open(run_report_path, "r", encoding="utf-8") as fh:
-        run_report = json.load(fh)
-    sph = run_report["sphering"]
-    transform = SpheringTransform(
-        np.asarray(sph["matrix"], dtype=np.float64),
-        np.asarray(sph["eigenvalues"], dtype=np.float64),
-        float(sph["regularization_eps"]),
-    )
+    run_report = read_json(run_report_path, "run report")
+    try:
+        sph = run_report["sphering"]
+        transform = SpheringTransform(
+            np.asarray(_json_list(_json_list(_json_float))(sph["matrix"])),
+            np.asarray(_json_list(_json_float)(sph["eigenvalues"])),
+            _json_float(sph["regularization_eps"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"cannot read run report {run_report_path}: {exc}") from exc
     report = evaluate_separation(bank, transform, images, dc_cutoff_hz=cfg.dc_cutoff_hz)
     payload = report.to_dict()
     payload["convergence"] = run_report.get("iva")
@@ -260,7 +247,7 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
 
 
 def _run(args) -> int:
-    config = _load_config(args.config)
+    config = {} if args.config is None else read_json(args.config, "config")
     seed, out_dir, scenario, cfg, echo = _resolve(config, args)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command in ("simulate", "pipeline"):

@@ -21,7 +21,6 @@ steps on SpectralFrames; update_step and minimum_distortion serve both.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,9 +348,7 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """CSV with columns iteration, mean_update_norm, max_update_norm."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "mean_update_norm", "max_update_norm"])
-        for i, (mean_norm, max_norm) in enumerate(
-            zip(trace.mean_update_norm, trace.max_update_norm), start=1
-        ):
-            writer.writerow([i, repr(mean_norm), repr(max_norm)])
+        fh.write("iteration,mean_update_norm,max_update_norm\r\n")
+        rows = zip(trace.mean_update_norm, trace.max_update_norm)
+        for i, (mean_norm, max_norm) in enumerate(rows, start=1):
+            fh.write("%d,%r,%r\r\n" % (i, mean_norm, max_norm))

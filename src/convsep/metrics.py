@@ -8,6 +8,7 @@ the per-output contributions sum to the pipeline output.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, replace as dc_replace
@@ -94,14 +95,7 @@ class SeparationReport:
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
 
     def to_dict(self) -> dict:
-        return {
-            "assignment": list(self.assignment),
-            "sir_db": list(self.sir_db),
-            "sdr_db": list(self.sdr_db),
-            "sir_improvement_db": list(self.sir_improvement_db),
-            "input_sir_db": list(self.input_sir_db),
-            "convergence": self.convergence,
-        }
+        return dataclasses.asdict(self)
 
 
 def project_images(
@@ -266,27 +260,17 @@ def moving_rms(ts: TimeSeries, window_s: float = 0.05) -> np.ndarray:
         raise ParameterError(f"window must be positive, got {window_s}")
     half = max(1, int(round(window_s / ts.meta.sample_interval_s))) // 2
     n = ts.n_samples
-    # padded[:, i] is the sum of the first i squares
-    padded = np.empty((ts.n_channels, n + 1))
-    padded[:, 0] = 0.0
-    np.square(ts.data, out=padded[:, 1:])
-    np.cumsum(padded[:, 1:], axis=1, out=padded[:, 1:])
-    # sample i averages over [lo, hi) = [max(i - half, 0), min(i + half + 1, n)).
-    # Cut where either bound starts or stops clipping: within each piece lo
-    # and hi are each fixed or shifted with i, so both are basic slices.
-    env = np.empty((ts.n_channels, n))
-    cuts = sorted({0, min(half, n), max(n - half, 0), n})
-    for start, stop in zip(cuts, cuts[1:]):
-        lo_fixed, hi_fixed = start < half, stop > n - half
-        lo_cols = padded[:, :1] if lo_fixed else padded[:, start - half : stop - half]
-        hi_cols = padded[:, n:] if hi_fixed else padded[:, start + half + 1 : stop + half + 1]
-        piece = env[:, start:stop]
-        np.subtract(hi_cols, lo_cols, out=piece)
-        if lo_fixed or hi_fixed:
-            i = np.arange(start, stop)
-            piece /= (n if hi_fixed else i + half + 1) - (0 if lo_fixed else i - half)
-        else:
-            piece /= 2 * half + 1
+    # sums[:, half + k] is the sum of the first k squares for k in [-half, n + half]:
+    # zero for k <= 0 and the total for k >= n
+    sums = np.zeros((ts.n_channels, n + 2 * half + 1))
+    squares = sums[:, half + 1 : half + n + 1]
+    np.square(ts.data, out=squares)
+    np.cumsum(squares, axis=1, out=squares)
+    sums[:, half + n + 1 :] = sums[:, half + n : half + n + 1]
+    # sample i averages over [max(i - half, 0), min(i + half + 1, n))
+    env = sums[:, 2 * half + 1 :] - sums[:, :n]
+    i = np.arange(n)
+    env /= np.minimum(i + half + 1, n) - np.maximum(i - half, 0)
     return np.sqrt(env, out=env)
 
 

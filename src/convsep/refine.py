@@ -32,6 +32,7 @@ taken; no source is claimed twice).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +87,7 @@ class RefinementTrace:
     contrast_after: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "accepted": list(self.accepted),
-            "steps": list(self.steps),
-            "contrast_before": list(self.contrast_before),
-            "contrast_after": list(self.contrast_after),
-        }
+        return dataclasses.asdict(self)
 
 
 def _block_powers(y: np.ndarray, block: int) -> np.ndarray:

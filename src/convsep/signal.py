@@ -19,9 +19,19 @@ __all__ = [
     "TimeSeries",
     "read_raw",
     "write_raw",
+    "read_json",
     "write_json",
     "highpass_dc_removal",
 ]
+
+
+def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarray:
+    """arr as a C-contiguous read-only array; error if any value is not finite."""
+    if not np.all(np.isfinite(arr)):
+        raise error(f"non-finite values in {what}")
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -52,14 +62,11 @@ class TimeSeries:
             raise ParameterError(f"data must be 2-D (channels, samples), got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError(f"need at least one channel and one sample, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("signal contains non-finite values")
+        arr = _frozen_array(arr, "signal", DataError)
         if len(self.meta.channel_labels) != arr.shape[0]:
             raise ParameterError(
                 f"{len(self.meta.channel_labels)} labels for {arr.shape[0]} channels"
             )
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -105,6 +112,18 @@ def _json_list(coerce):
     return coerce_list
 
 
+def read_json(path, what: str) -> dict:
+    """The JSON object in path; FormatError if unreadable, invalid or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{what} {path} must hold a JSON object")
+    return payload
+
+
 def write_json(payload, path) -> None:
     """Write payload as JSON with sorted keys, indent 2 and a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -118,14 +137,13 @@ def read_raw(path, header) -> TimeSeries:
     The payload length must equal channels * samples * 4 bytes; values are
     widened to float64.
     """
+    desc = read_json(header, "signal header")
     try:
-        with open(header, "r", encoding="utf-8") as fh:
-            desc = json.load(fh)
         channels = _json_int(desc["channels"])
         samples = _json_int(desc["samples"])
         interval = _json_float(desc["sample_interval_s"])
         labels = _json_list(_json_str)(desc["labels"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise FormatError(f"cannot read signal header {header}: {exc}") from exc
     if channels < 1 or samples < 1:
         raise FormatError(

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .signal import SignalMetadata, TimeSeries
+from .signal import SignalMetadata, TimeSeries, _frozen_array
 
 __all__ = [
     "SOURCE_KINDS",
@@ -71,16 +71,14 @@ class SourceSet:
     sample_interval_s: float
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.signals, dtype=np.float64)
+        arr = np.asarray(self.signals, dtype=np.float64)
         if arr.ndim != 2:
             raise ParameterError(f"signals must be 2-D, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("source signals contain non-finite values")
+        arr = _frozen_array(arr, "source signals")
         if len(self.kinds) != arr.shape[0]:
             raise ParameterError(f"{len(self.kinds)} kinds for {arr.shape[0]} sources")
         if not self.sample_interval_s > 0:
             raise ParameterError("sample_interval_s must be positive")
-        arr.setflags(write=False)
         object.__setattr__(self, "signals", arr)
         object.__setattr__(self, "kinds", tuple(self.kinds))
 
@@ -100,14 +98,12 @@ class MixingSystem:
     kernels: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.kernels, dtype=np.float64)
+        arr = np.asarray(self.kernels, dtype=np.float64)
         if arr.ndim != 3:
             raise ParameterError(f"kernels must be 3-D, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("kernels contain non-finite values")
+        arr = _frozen_array(arr, "kernels")
         if np.any(np.all(arr == 0.0, axis=(1, 2))):
             raise ParameterError("every source needs at least one nonzero kernel")
-        arr.setflags(write=False)
         object.__setattr__(self, "kernels", arr)
 
     @property
@@ -155,6 +151,8 @@ class SimScenario:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ParameterError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.n_sources != self.n_sensors:
             raise ParameterError(
                 f"sensor count ({self.n_sensors}) must equal source count ({self.n_sources})"

@@ -8,13 +8,12 @@ filters_to_time reads full M-bin banks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .signal import SignalMetadata, TimeSeries, _json_int, write_json
+from .signal import SignalMetadata, TimeSeries, _frozen_array, _json_int, read_json, write_json
 
 __all__ = [
     "SpectralFrames",
@@ -79,11 +78,7 @@ class SpectralFrames:
             raise ParameterError(f"block_hop must be >= 1, got {self.block_hop}")
         if self.window_id not in WINDOW_IDS:
             raise ParameterError(f"unknown window {self.window_id!r}")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("frames contain non-finite values")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen_array(arr, "frames"))
 
     @property
     def n_channels(self) -> int:
@@ -114,11 +109,7 @@ class FrequencyFilterBank:
             arr = arr.astype(np.complex128)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ParameterError(f"response must be (bins, P, P), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("filter responses contain non-finite values")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "response", arr)
+        object.__setattr__(self, "response", _frozen_array(arr, "filter responses"))
 
     @property
     def n_bins(self) -> int:
@@ -146,11 +137,7 @@ class DemixFilterBank:
             raise ParameterError(f"coeffs must be (P, P, L), got {arr.shape}")
         if arr.shape[2] < 1:
             raise ParameterError("filter length must be >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("filter coefficients contain non-finite values")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen_array(arr, "filter coefficients"))
 
     @property
     def n_channels(self) -> int:
@@ -227,12 +214,11 @@ def save_filter_bank(bank: DemixFilterBank, path, header) -> None:
 
 
 def load_filter_bank(path, header) -> DemixFilterBank:
+    desc = read_json(header, "filter bank header")
     try:
-        with open(header, "r", encoding="utf-8") as fh:
-            desc = json.load(fh)
         channels = _json_int(desc["P"])
         length = _json_int(desc["L"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise FormatError(f"cannot read filter bank header {header}: {exc}") from exc
     if channels < 1 or length < 1:
         raise FormatError(f"header declares P={channels}, L={length}; both must be >= 1")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .signal import TimeSeries
+from .signal import TimeSeries, _frozen_array
 
 __all__ = [
     "SpheringTransform",
@@ -33,8 +33,8 @@ class SpheringTransform:
     regularization_eps: float
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        eig = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
+        mat = np.asarray(self.matrix, dtype=np.float64)
+        eig = np.asarray(self.eigenvalues, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ParameterError(f"matrix must be square, got {mat.shape}")
         if eig.shape != (mat.shape[0],):
@@ -44,10 +44,8 @@ class SpheringTransform:
             raise ParameterError("sphering matrix must be symmetric")
         if np.any(eig < 0):
             raise ParameterError("eigenvalues must be non-negative after flooring")
-        mat.setflags(write=False)
-        eig.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "eigenvalues", eig)
+        object.__setattr__(self, "matrix", _frozen_array(mat, "sphering matrix"))
+        object.__setattr__(self, "eigenvalues", _frozen_array(eig, "eigenvalues"))
 
     @property
     def n_channels(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,32 @@ class TestNumericalFailure:
         assert "iteration" in err
 
 
+@pytest.fixture(scope="module")
+def separated_diagonal(tmp_path_factory):
+    """out_dir of a simulate + separate run on a 4 s diagonal scenario."""
+    cfg = tmp_path_factory.mktemp("separated") / "cfg.json"
+    write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["separate", "--config", str(cfg)]) == 0
+    return cfg.parent / "out"
+
+
+def with_sphering(report, **entries):
+    return json.dumps({**report, "sphering": {**report["sphering"], **entries}})
+
+
+# corrupt run_report.json -> its text, from the valid report
+CORRUPT_RUN_REPORTS = {
+    "missing-key": lambda report: json.dumps({"sphering": {}}),
+    "not-json": lambda report: "nope",
+    "ragged-matrix": lambda report: with_sphering(
+        report, matrix=[row[: i + 1] for i, row in enumerate(report["sphering"]["matrix"])]
+    ),
+    "string-matrix": lambda report: with_sphering(report, matrix="ab"),
+    "not-an-object": lambda report: "[1, 2]",
+}
+
+
 class TestEvaluateCommand:
     def test_report_written_and_valid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -228,6 +255,19 @@ class TestEvaluateCommand:
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         assert main(["evaluate", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPT_RUN_REPORTS))
+    def test_corrupt_run_report_exits_2(self, tmp_path, capsys, separated_diagonal, corruption):
+        out = tmp_path / "out"
+        shutil.copytree(separated_diagonal, out)
+        report_path = out / "run_report.json"
+        report = json.loads(report_path.read_text())
+        report_path.write_text(CORRUPT_RUN_REPORTS[corruption](report))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "run_report.json" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestReproducibility:

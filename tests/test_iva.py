@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 import convsep.iva
 from convsep.errors import NumericalDivergenceError, ParameterError, SingularFilterError
 from convsep.iva import (
+    ConvergenceTrace,
     IterationState,
     IvaConfig,
     broadband_norms,
@@ -12,6 +15,7 @@ from convsep.iva import (
     run_iva,
     score,
     update_step,
+    write_trace_csv,
 )
 from convsep.signal import SignalMetadata, TimeSeries
 from convsep.spectral import (
@@ -409,3 +413,30 @@ class TestHalfSpectrumLoop:
         monkeypatch.setattr(convsep.iva, "update_step", spy)
         run_iva(mixture_frames(filter_length), IvaConfig(step_size=0.05, max_iterations=3))
         assert seen == [np.dtype(dtype)] * 3
+
+
+def csv_writer_trace(trace, path):
+    """The convergence CSV as first built, one csv.writer row per iteration."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "mean_update_norm", "max_update_norm"])
+        rows = zip(trace.mean_update_norm, trace.max_update_norm)
+        for i, (mean_norm, max_norm) in enumerate(rows, start=1):
+            writer.writerow([i, repr(mean_norm), repr(max_norm)])
+
+
+class TestWriteTraceCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # 1,200 rows from the smallest subnormal to 1.2e19, with exact
+        # zeros, fixed-point and exponent forms
+        rng = np.random.default_rng(12)
+        values = 10.0 ** rng.uniform(-323.0, 19.0, 2400) * rng.uniform(0.5, 1.2, 2400)
+        values[:4] = [5e-324, 0.0, 1.2e19, 0.5]
+        norms = values.reshape(2, -1).tolist()
+        trace = ConvergenceTrace(norms[0], norms[1], converged=False, iterations=1200)
+        write_trace_csv(trace, tmp_path / "rows.csv")
+        csv_writer_trace(trace, tmp_path / "writer.csv")
+        got = (tmp_path / "rows.csv").read_bytes()
+        assert got == (tmp_path / "writer.csv").read_bytes()
+        assert got.count(b"\r\n") == 1201
+        assert b"5e-324" in got and b"e+19" in got

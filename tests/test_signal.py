@@ -5,6 +5,9 @@ import pytest
 
 from convsep.errors import DataError, FormatError, ParameterError
 from convsep.signal import SignalMetadata, TimeSeries, highpass_dc_removal, read_raw, write_raw
+from convsep.simulate import MixingSystem, SourceSet
+from convsep.spectral import DemixFilterBank, FrequencyFilterBank, SpectralFrames
+from convsep.sphering import SpheringTransform
 
 
 def direct_onepole_highpass(x, cutoff_hz, interval_s):
@@ -46,6 +49,50 @@ class TestTimeSeries:
         ts = TimeSeries(np.zeros((1, 4)), SignalMetadata(1e-3, ("a",)))
         with pytest.raises(ValueError):
             ts.data[0, 0] = 1.0
+
+
+META2 = SignalMetadata(1e-3, ("a", "b"))
+# type name -> (build from the array, attribute holding it, a valid array,
+# the error for a non-finite one)
+VALUE_TYPES = {
+    "TimeSeries": (lambda a: TimeSeries(a, META2), "data", np.ones((2, 4)), DataError),
+    "SpectralFrames": (
+        lambda a: SpectralFrames(a, 1, "rect", META2),
+        "data",
+        np.ones((2, 3, 4), dtype=complex),
+        ParameterError,
+    ),
+    "FrequencyFilterBank": (
+        FrequencyFilterBank, "response", np.ones((4, 2, 2), dtype=complex), ParameterError
+    ),
+    "DemixFilterBank": (DemixFilterBank, "coeffs", np.ones((2, 2, 4)), ParameterError),
+    "SpheringTransform.matrix": (
+        lambda a: SpheringTransform(a, np.ones(2), 0.0), "matrix", np.eye(2), ParameterError
+    ),
+    "SpheringTransform.eigenvalues": (
+        lambda a: SpheringTransform(np.eye(2), a, 0.0), "eigenvalues", np.ones(2), ParameterError
+    ),
+    "SourceSet": (
+        lambda a: SourceSet(a, ("emg", "noise"), 0, 1e-3), "signals", np.ones((2, 4)), ParameterError
+    ),
+    "MixingSystem": (MixingSystem, "kernels", np.ones((2, 2, 4)), ParameterError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+class TestFrozenValueArrays:
+    def test_stored_array_is_readonly_and_c_contiguous(self, name):
+        build, attr, valid, _ = VALUE_TYPES[name]
+        stored = getattr(build(np.asfortranarray(valid)), attr)
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        assert np.array_equal(stored, valid)
+
+    def test_nan_rejected(self, name):
+        build, _, valid, error = VALUE_TYPES[name]
+        bad = valid.copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(error, match="non-finite"):
+            build(bad)
 
 
 class TestRawIO:

@@ -220,6 +220,10 @@ class TestBuildScenario:
         with pytest.raises(ParameterError):
             SimScenario(n_sources=4, n_sensors=3)
 
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ParameterError, match="seed"):
+            respiratory_scenario(seed=-1)
+
     def test_ecg_bpm_must_be_positive(self):
         with pytest.raises(ParameterError, match="ecg_bpm"):
             SimScenario(ecg_bpm=0.0)
