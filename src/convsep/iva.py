@@ -12,8 +12,8 @@ with the interior bins counted twice in every mean over bins. Each
 iteration is one pass over that mixture spectrum X in chunks of blocks of
 about _CHUNK_BYTES: per chunk, Y = W X, its broadband norms, the score and
 the bracket sum, so no outputs array of the frames' size is ever held.
-The score guard needs the outputs' RMS before that pass; it comes from the
-per-bin mixture covariances sum_n X X^H, formed once. When every kept bin
+The score Y / ||Y|| does not depend on scale, so its guard is an absolute
+floor that only keeps a silent block's 0/0 at 0. When every kept bin
 is exactly real (L = 1: DC and Nyquist only) the loop runs in float64.
 forward_pass, broadband_norms and score are the full-spectrum reference
 steps on SpectralFrames; update_step and minimum_distortion serve both.
@@ -61,8 +61,9 @@ class IvaConfig:
 
     convergence_tol is relative: the loop stops once the mean update norm
     falls below convergence_tol times its first-iteration value.
-    norm_guard=None resolves to 1e-12 times the RMS of the current
-    outputs, which keeps the score scale-invariant.
+    norm_guard=None resolves to the smallest normal float: a silent
+    block's score is then 0 / tiny = 0, and any other block's is bounded
+    (|Y_v| / ||Y|| <= sqrt(M)), so the score stays scale-invariant.
     """
 
     step_size: float = 0.003
@@ -90,17 +91,14 @@ class IterationState:
     broadband norms; or, as run_iva passes it, the bins-major (bins,
     channels, blocks) half spectrum X of the mixture, from which
     update_step forms the outputs W X chunk by chunk. Then norms is None,
-    covariance holds the per-bin sums over blocks of X X^H, and
-    bin_weights the number of full-spectrum bins each kept bin stands for
-    (1, 2, ..., 2, 1). filters holds one matrix per bin of outputs.
+    and each kept bin counts for the full-spectrum bins it stands for (1,
+    2, ..., 2, 1). filters holds one matrix per bin of outputs.
     """
 
     filters: FrequencyFilterBank
     outputs: SpectralFrames | np.ndarray
     norms: np.ndarray | None
     update_norm_trace: list = field(default_factory=list)
-    bin_weights: np.ndarray | None = None
-    covariance: np.ndarray | None = None
 
     @property
     def iteration(self) -> int:
@@ -114,8 +112,11 @@ class ConvergenceTrace:
     mean_update_norm: list
     max_update_norm: list
     converged: bool
-    iterations: int
     discarded_lag_energy: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.mean_update_norm)
 
 
 def _block_chunks(n_blocks: int, block_bytes: int) -> list[slice]:
@@ -164,28 +165,22 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     Phi is the score of the outputs; Phi Y^H is summed over blocks in
     chunks of about _CHUNK_BYTES, so the temporaries stay chunk-sized.
     Given the mixture X, each chunk's outputs Y = W X and their broadband
-    norms are formed there too. The guard of norm_guard=None is 1e-12
-    times the RMS of the outputs. Returns the new bank plus the
-    bin-weighted mean and the max Frobenius norm of the bracketed term
-    over bins (the convergence-trace entries).
+    norms are formed there too, with the half spectrum's interior bins
+    weighted 2. The guard of norm_guard=None is the smallest normal float.
+    Returns the new bank plus the bin-weighted mean and the max Frobenius
+    norm of the bracketed term over bins (the convergence-trace entries).
     """
     response = state.filters.response
     outputs_given = isinstance(state.outputs, SpectralFrames)
     source = state.outputs.data.transpose(2, 0, 1) if outputs_given else state.outputs
     n_bins, channels, n_blocks = source.shape
-    weights = np.ones(n_bins) if state.bin_weights is None else state.bin_weights
+    weights = np.ones(n_bins)
+    if not outputs_given:
+        weights[1:-1] = 2.0
     scale = weights / weights.sum()
     dtype = np.result_type(source, response)
+    guard = np.finfo(float).tiny if cfg.norm_guard is None else cfg.norm_guard
     with np.errstate(over="ignore", invalid="ignore"):
-        guard = cfg.norm_guard
-        if guard is None:
-            if outputs_given:
-                mean_power = np.mean(state.norms**2)
-            else:
-                # sum_v w_v tr(W_v C_v W_v^H) / (M N P), C_v = sum_n X X^H
-                power = np.sum((response @ state.covariance) * np.conj(response), axis=(1, 2))
-                mean_power = (scale @ power.real) / (n_blocks * channels)
-            guard = max(1e-12 * float(np.sqrt(mean_power)), np.finfo(float).tiny)
         # conj(Phi) Y^T summed over blocks, conjugated once at the end; each
         # chunk's outputs and score go to two buffers reused chunk by chunk
         cross = np.zeros((n_bins, channels, channels), dtype=dtype)
@@ -277,16 +272,6 @@ def _half_spectrum(data: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(kept.transpose(2, 0, 1))
 
 
-def _covariance(x: np.ndarray) -> np.ndarray:
-    """Per-bin sum over blocks of X X^H for bins-major (bins, channels, blocks) X."""
-    n_bins, channels, n_blocks = x.shape
-    cov = np.zeros((n_bins, channels, channels), dtype=x.dtype)
-    for blocks in _block_chunks(n_blocks, n_bins * channels * x.itemsize):
-        chunk = x[:, :, blocks]
-        cov += chunk @ np.conj(chunk.transpose(0, 2, 1))
-    return cov
-
-
 def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, ConvergenceTrace]:
     """Iterate the separation loop from the identity bank and return the
     causal time-domain bank plus the convergence trace.
@@ -306,16 +291,13 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     filter_length = n_bins // 2
 
     x = _half_spectrum(frames.data)
-    cov = _covariance(x)
-    weights = np.full(filter_length + 1, 2.0)
-    weights[[0, -1]] = 1.0
     eye = np.eye(frames.n_channels, dtype=x.dtype)
     bank = FrequencyFilterBank(np.tile(eye, (filter_length + 1, 1, 1)))
     mean_trace: list[float] = []
     max_trace: list[float] = []
     converged = False
     for _ in range(cfg.max_iterations):
-        state = IterationState(bank, x, None, mean_trace, weights, cov)
+        state = IterationState(bank, x, None, mean_trace)
         try:
             bank, mean_norm, max_norm = update_step(state, cfg)
             bank = minimum_distortion(bank)
@@ -339,7 +321,6 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
         mean_update_norm=mean_trace,
         max_update_norm=max_trace,
         converged=converged,
-        iterations=len(mean_trace),
         discarded_lag_energy=late,
     )
     return DemixFilterBank(impulse[:filter_length].transpose(1, 2, 0)), trace

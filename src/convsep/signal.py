@@ -26,7 +26,10 @@ __all__ = [
 
 
 def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarray:
-    """arr as a C-contiguous read-only array; error if any value is not finite."""
+    """arr as a C-contiguous read-only array; error if any value is not finite.
+
+    A C-contiguous arr is frozen in place, not copied (the pipeline holds
+    one copy of each stage's result): pass a copy to keep a buffer writable."""
     if not np.all(np.isfinite(arr)):
         raise error(f"non-finite values in {what}")
     arr = np.ascontiguousarray(arr)

@@ -183,6 +183,8 @@ class SimScenario:
             raise ParameterError(f"ecg_bpm must be positive, got {self.ecg_bpm}")
         if not self.conduction_velocity_m_s > 0:
             raise ParameterError("conduction velocity must be positive")
+        if self.sensor_spacing_m < 0:
+            raise ParameterError(f"sensor_spacing_m must be >= 0, got {self.sensor_spacing_m}")
         muap_sources = [
             q for q, kind in enumerate(self.source_kinds) if kind not in ("ecg", "noise")
         ]

@@ -106,7 +106,7 @@ class FrequencyFilterBank:
     def __post_init__(self):
         arr = np.asarray(self.response)
         if arr.dtype != np.float64:
-            arr = arr.astype(np.complex128)
+            arr = arr.astype(np.complex128, copy=False)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ParameterError(f"response must be (bins, P, P), got {arr.shape}")
         object.__setattr__(self, "response", _frozen_array(arr, "filter responses"))

@@ -114,6 +114,7 @@ class TestSimulateCommand:
             ({"iva": {"convergence_tol": float("nan")}}, "convergence_tol"),
             ({"seed": -1}, "seed"),
             ({"scenario": {"emg_gain": float("nan")}}, "emg_gain"),
+            ({"scenario": {"sensor_spacing_m": -0.015}}, "sensor_spacing_m"),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -302,6 +303,23 @@ class TestRunIva:
         moved = iterate(shuffled)
         np.testing.assert_allclose(moved, base[perm], atol=1e-12)
 
+    def test_stopping_rule_fires(self):
+        frames = mixture_frames(8)
+        cfg = IvaConfig(step_size=0.05, max_iterations=30, convergence_tol=0.0)
+        _, full = run_iva(frames, cfg)
+        assert not full.converged and full.iterations == 30
+        norms = full.mean_update_norm
+        tol = norms[20] / norms[0]
+        # the loop's own comparison, since (a / b) * b can round below a
+        k = next(i for i, n in enumerate(norms) if n <= tol * norms[0])
+        assert k > 0
+        _, trace = run_iva(frames, dataclasses.replace(cfg, convergence_tol=tol))
+        assert trace.converged
+        assert trace.iterations == k + 1 == len(trace.max_update_norm)
+        assert trace.mean_update_norm == norms[: k + 1]
+        _, once = run_iva(frames, dataclasses.replace(cfg, convergence_tol=1.0))
+        assert once.converged and once.iterations == 1
+
     def test_requires_two_blocks(self, make_ts):
         frames = stft(make_ts(np.ones((1, 8))), 8, 8)
         with pytest.raises(ParameterError):
@@ -433,7 +451,7 @@ class TestWriteTraceCsv:
         values = 10.0 ** rng.uniform(-323.0, 19.0, 2400) * rng.uniform(0.5, 1.2, 2400)
         values[:4] = [5e-324, 0.0, 1.2e19, 0.5]
         norms = values.reshape(2, -1).tolist()
-        trace = ConvergenceTrace(norms[0], norms[1], converged=False, iterations=1200)
+        trace = ConvergenceTrace(norms[0], norms[1], converged=False)
         write_trace_csv(trace, tmp_path / "rows.csv")
         csv_writer_trace(trace, tmp_path / "writer.csv")
         got = (tmp_path / "rows.csv").read_bytes()

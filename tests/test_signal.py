@@ -87,6 +87,21 @@ class TestFrozenValueArrays:
         assert stored.flags.c_contiguous and not stored.flags.writeable
         assert np.array_equal(stored, valid)
 
+    def test_c_contiguous_input_is_taken_over(self, name):
+        build, attr, valid, _ = VALUE_TYPES[name]
+        given = valid.copy()
+        assert np.shares_memory(getattr(build(given), attr), given)
+        assert not given.flags.writeable
+
+    def test_other_input_is_copied(self, name):
+        build, attr, valid, _ = VALUE_TYPES[name]
+        strided = np.repeat(valid, 2, axis=-1)[..., ::2]
+        assert not strided.flags.c_contiguous
+        for given in (strided, valid.real.astype(np.float32)):
+            stored = getattr(build(given), attr)
+            assert not np.shares_memory(stored, given) and given.flags.writeable
+            assert np.array_equal(stored, valid)
+
     def test_nan_rejected(self, name):
         build, _, valid, error = VALUE_TYPES[name]
         bad = valid.copy()

@@ -224,6 +224,10 @@ class TestBuildScenario:
         with pytest.raises(ParameterError, match="seed"):
             respiratory_scenario(seed=-1)
 
+    def test_negative_sensor_spacing_rejected_at_construction(self):
+        with pytest.raises(ParameterError, match="sensor_spacing_m"):
+            respiratory_scenario(sensor_spacing_m=-0.015)
+
     def test_ecg_bpm_must_be_positive(self):
         with pytest.raises(ParameterError, match="ecg_bpm"):
             SimScenario(ecg_bpm=0.0)
