@@ -49,8 +49,10 @@ class PipelineConfig:
             raise ParameterError(
                 f"filter length must be a power of two, got {self.filter_length}"
             )
-        if self.dc_cutoff_hz is not None and not self.dc_cutoff_hz > 0:
-            raise ParameterError(f"dc_cutoff_hz must be positive, got {self.dc_cutoff_hz}")
+        if self.dc_cutoff_hz is not None and not 0 < self.dc_cutoff_hz < np.inf:
+            raise ParameterError(
+                f"dc_cutoff_hz must be finite and positive, got {self.dc_cutoff_hz}"
+            )
 
     @property
     def n_bins(self) -> int:

@@ -11,7 +11,8 @@ conjugate-symmetric spectrum, laid out once as (bins, channels, blocks),
 with the interior bins counted twice in every mean over bins. Each
 iteration is one pass over that mixture spectrum X in chunks of blocks of
 about _CHUNK_BYTES: per chunk, Y = W X, its broadband norms, the score and
-the bracket sum, so no outputs array of the frames' size is ever held.
+the bracket sum, so no outputs array of the frames' size is ever held. The
+chunks bound memory only; they buy no speed.
 The score Y / ||Y|| does not depend on scale, so its guard is an absolute
 floor that only keeps a silent block's 0/0 at 0. When every kept bin
 is exactly real (L = 1: DC and Nyquist only) the loop runs in float64.
@@ -45,10 +46,10 @@ __all__ = [
 # transient ill-conditioning during iteration self-corrects, so the guard
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
-# bytes of outputs per chunk of blocks in update_step: it bounds the
-# chunk's product, norms, score and bracket buffers, and so the loop's peak
-# memory (one chunk per pass ran faster at L = 64 on 2 cores, but held
-# outputs the size of the frames)
+# bytes of outputs per chunk of blocks in update_step: it bounds the chunk's
+# temporaries, and so the loop's peak memory (one chunk per pass ran faster
+# at L = 64 on 2 cores, but held outputs the size of the frames; reused
+# chunk buffers ran no faster than fresh temporaries)
 _CHUNK_BYTES = 1 << 19
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
@@ -76,10 +77,12 @@ class IvaConfig:
             raise ParameterError(f"step_size must be in [0, 1], got {self.step_size}")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.convergence_tol >= 0:
-            raise ParameterError(f"convergence_tol must be >= 0, got {self.convergence_tol}")
-        if self.norm_guard is not None and not self.norm_guard > 0:
-            raise ParameterError(f"norm_guard must be positive, got {self.norm_guard}")
+        if not 0 <= self.convergence_tol < np.inf:
+            raise ParameterError(
+                f"convergence_tol must be finite and >= 0, got {self.convergence_tol}"
+            )
+        if self.norm_guard is not None and not 0 < self.norm_guard < np.inf:
+            raise ParameterError(f"norm_guard must be finite and positive, got {self.norm_guard}")
 
 
 @dataclass
@@ -119,13 +122,6 @@ class ConvergenceTrace:
         return len(self.mean_update_norm)
 
 
-def _block_chunks(n_blocks: int, block_bytes: int) -> list[slice]:
-    """Slices over n_blocks blocks of block_bytes each, about _CHUNK_BYTES
-    per slice and the first one the longest."""
-    size = max(1, _CHUNK_BYTES // block_bytes)
-    return [slice(start, min(start + size, n_blocks)) for start in range(0, n_blocks, size)]
-
-
 def forward_pass(fb: FrequencyFilterBank, frames: SpectralFrames) -> SpectralFrames:
     """Per bin and block, Y = W X."""
     if fb.n_channels != frames.n_channels or fb.n_bins != frames.n_bins:
@@ -163,7 +159,7 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
     Phi is the score of the outputs; Phi Y^H is summed over blocks in
-    chunks of about _CHUNK_BYTES, so the temporaries stay chunk-sized.
+    chunks of about _CHUNK_BYTES, which bound the temporaries, not the time.
     Given the mixture X, each chunk's outputs Y = W X and their broadband
     norms are formed there too, with the half spectrum's interior bins
     weighted 2. The guard of norm_guard=None is the smallest normal float.
@@ -180,23 +176,22 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     scale = weights / weights.sum()
     dtype = np.result_type(source, response)
     guard = np.finfo(float).tiny if cfg.norm_guard is None else cfg.norm_guard
+    step = max(1, _CHUNK_BYTES // (n_bins * channels * np.dtype(dtype).itemsize))
     with np.errstate(over="ignore", invalid="ignore"):
-        # conj(Phi) Y^T summed over blocks, conjugated once at the end; each
-        # chunk's outputs and score go to two buffers reused chunk by chunk
+        # conj(Phi) Y^T summed over blocks, conjugated once at the end
         cross = np.zeros((n_bins, channels, channels), dtype=dtype)
-        chunks = _block_chunks(n_blocks, n_bins * channels * np.dtype(dtype).itemsize)
-        chunk_size = n_bins * channels * (chunks[0].stop - chunks[0].start)
-        work = np.empty(chunk_size, dtype=dtype)
-        out = None if outputs_given else np.empty(chunk_size, dtype=dtype)
-        for blocks in chunks:
+        for start in range(0, n_blocks, step):
+            blocks = slice(start, start + step)
             if outputs_given:
                 y = source[:, :, blocks]
                 norms = state.norms[blocks].T
             else:
-                x = source[:, :, blocks]
-                y = np.matmul(response, x, out=out[: x.size].reshape(x.shape))
-                norms = _chunk_norms(y, scale, work)
-            phi_conj = np.multiply(y, 1.0 / (norms + guard), out=work[: y.size].reshape(y.shape))
+                y = response @ source[:, :, blocks]
+                power = np.square(y.real)
+                if np.iscomplexobj(y):
+                    power += np.square(y.imag)
+                norms = np.sqrt(scale @ power.reshape(n_bins, -1)).reshape(y.shape[1:])
+            phi_conj = y * (1.0 / (norms + guard))
             if np.iscomplexobj(phi_conj):
                 np.conjugate(phi_conj, out=phi_conj)
             cross += phi_conj @ y.transpose(0, 2, 1)
@@ -208,21 +203,6 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
         raise NumericalDivergenceError(state.iteration, int(np.argmax(bad)))
     mean_norm = float(weights @ norms / weights.sum())
     return FrequencyFilterBank(new_response), mean_norm, float(norms.max())
-
-
-def _chunk_norms(y: np.ndarray, scale: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """(channels, blocks) broadband norms of a bins-major outputs chunk:
-    the root of the mean over the full spectrum, kept bin v weighted
-    scale[v]. The squared magnitudes go to work, as float64."""
-    squared = work.view(np.float64)[: y.size].reshape(y.shape)
-    if np.iscomplexobj(y):
-        np.square(y.real, out=squared)
-        imag = work.view(np.float64)[y.size : 2 * y.size].reshape(y.shape)
-        squared += np.square(y.imag, out=imag)
-    else:
-        np.square(y, out=squared)
-    power = scale @ squared.reshape(len(scale), -1)
-    return np.sqrt(power, out=power).reshape(y.shape[1:])
 
 
 def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:

@@ -138,7 +138,7 @@ def read_raw(path, header) -> TimeSeries:
     """Read an interleaved little-endian float32 file described by a JSON header.
 
     The payload length must equal channels * samples * 4 bytes; values are
-    widened to float64.
+    widened to float64 in one C-order copy.
     """
     desc = read_json(header, "signal header")
     try:
@@ -162,7 +162,7 @@ def read_raw(path, header) -> TimeSeries:
             f"{path}: payload holds {payload.size} float32 values, "
             f"header requires {expected} ({channels} channels x {samples} samples)"
         )
-    data = payload.astype(np.float64).reshape(samples, channels).T
+    data = np.ascontiguousarray(payload.reshape(samples, channels).T, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: payload contains non-finite values")
     return TimeSeries(data, SignalMetadata(interval, labels))

@@ -261,15 +261,10 @@ def generate_impulse_train(
 
 
 def _gaussian_wavelet(length: int, center: float, width: float, order: int) -> np.ndarray:
-    """Unit-peak Gaussian derivative of the given order on [0, length)."""
+    """Unit-peak first (order=1) or second (order=2) Gaussian derivative on [0, length)."""
     t = (np.arange(length) - center) / width
     g = np.exp(-0.5 * t * t)
-    if order == 1:
-        w = -t * g
-    elif order == 2:
-        w = (t * t - 1.0) * g
-    else:
-        w = g
+    w = -t * g if order == 1 else (t * t - 1.0) * g
     peak = float(np.max(np.abs(w)))
     return w / peak if peak > 0 else w
 

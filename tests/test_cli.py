@@ -115,6 +115,10 @@ class TestSimulateCommand:
             ({"seed": -1}, "seed"),
             ({"scenario": {"emg_gain": float("nan")}}, "emg_gain"),
             ({"scenario": {"sensor_spacing_m": -0.015}}, "sensor_spacing_m"),
+            ({"iva": {"norm_guard": float("inf")}}, "norm_guard"),
+            ({"iva": {"convergence_tol": float("inf")}}, "convergence_tol"),
+            ({"preprocess": {"dc_cutoff_hz": float("inf")}}, "dc_cutoff_hz"),
+            ({"scenario": {"kind": "bogus"}}, "scenario.kind"),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
@@ -256,6 +260,16 @@ class TestEvaluateCommand:
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         assert main(["evaluate", "--config", str(cfg)]) == 2
+
+    def test_missing_image_exits_2(self, tmp_path, capsys, separated_diagonal):
+        out = tmp_path / "out"
+        shutil.copytree(separated_diagonal, out)
+        (out / "image_src2.raw").unlink()
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "image_src2.raw" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_RUN_REPORTS))
     def test_corrupt_run_report_exits_2(self, tmp_path, capsys, separated_diagonal, corruption):

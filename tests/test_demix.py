@@ -136,3 +136,7 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             PipelineConfig(filter_length=48)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_cutoff(self, cutoff):
+        with pytest.raises(ParameterError, match="dc_cutoff_hz"):
+            PipelineConfig(dc_cutoff_hz=cutoff)

@@ -27,3 +27,37 @@ def test_every_imported_name_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(module, "__all__", ()))
     assert sorted(unused) == []
+
+
+def _private_definitions(tree) -> set:
+    """Module-level private functions, classes and constants (no dunders)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_definition_is_used():
+    # a private helper or constant left behind by a deletion is read nowhere
+    # in the package, neither in its own module nor through an import
+    trees = {
+        m.__name__: ast.parse(Path(m.__file__).read_text(encoding="utf-8"))
+        for m in [convsep, *MODULES]
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    orphans = [
+        f"{name}.{private}"
+        for name, tree in trees.items()
+        for private in sorted(_private_definitions(tree) - read)
+    ]
+    assert orphans == []

@@ -89,6 +89,8 @@ class TestIvaConfig:
             {"convergence_tol": -1e-3},
             {"norm_guard": 0.0},
             {"convergence_tol": float("nan")},
+            {"convergence_tol": float("inf")},
+            {"norm_guard": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -261,6 +263,14 @@ class TestMinimumDistortion:
             minimum_distortion(FrequencyFilterBank(response))
         assert err.value.bin_index == 2
 
+    def test_non_finite_inverse_names_bin(self):
+        # a subnormal bin inverts without a LinAlgError, to an infinite inverse
+        response = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+        response[1] *= 1e-310
+        with pytest.raises(SingularFilterError) as err:
+            minimum_distortion(FrequencyFilterBank(response))
+        assert err.value.bin_index == 1
+
 
 class TestRunIva:
     def test_single_channel_is_identity_after_mdp(self, make_ts):
@@ -376,6 +386,14 @@ class TestHalfSpectrumLoop:
         impulse = np.abs(np.fft.ifft(ref_fb.response, axis=0)) ** 2
         ref_late = np.sum(impulse[filter_length:]) / np.sum(impulse)
         assert trace.discarded_lag_energy == pytest.approx(ref_late, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("filter_length", [8, 1])
+    @pytest.mark.parametrize("iterations", [1, 5, 20])
+    def test_multi_chunk_pass_matches_reference_loop(self, monkeypatch, filter_length, iterations):
+        # the default chunk holds all of mixture_frames; 4096 bytes splits it
+        # into 84 chunks at L = 8 and 71 at L = 1, the last one short
+        monkeypatch.setattr(convsep.iva, "_CHUNK_BYTES", 4096)
+        self.test_matches_reference_loop(filter_length, iterations)
 
     def test_rejects_non_symmetric_frames(self):
         rng = np.random.default_rng(14)

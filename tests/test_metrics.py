@@ -213,6 +213,12 @@ class TestSdr:
         values = sdr(contrib, [img], (0,))
         assert 15.0 < values[0] < 25.0
 
+    def test_silent_reference_gives_floor(self):
+        meta = SignalMetadata(1e-3, ("a",))
+        img = TimeSeries(np.zeros((1, 500)), meta)
+        contrib = np.ones((1, 1, 500))
+        assert sdr(contrib, [img], (0,)) == (-DB_CAP,)
+
 
 class TestOracleBank:
     def test_inverse_of_instantaneous_mixing_caps_sir(self):

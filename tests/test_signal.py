@@ -131,6 +131,15 @@ class TestRawIO:
         assert back.meta.channel_labels == ("x", "y", "z")
         assert back.meta.sample_interval_s == 0.976e-3
 
+    def test_loaded_data_is_c_contiguous(self, tmp_path, make_ts):
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((4, 301)).astype(np.float32).astype(np.float64)
+        raw, header = tmp_path / "sig.raw", tmp_path / "sig.json"
+        write_raw(make_ts(data), raw, header)
+        back = read_raw(raw, header)
+        assert back.data.flags.c_contiguous and back.data.dtype == np.float64
+        np.testing.assert_array_equal(back.data, data)
+
     def test_size_mismatch_is_format_error(self, tmp_path, make_ts):
         ts = make_ts(np.zeros((3, 4)))
         raw, header = tmp_path / "sig.raw", tmp_path / "sig.json"

@@ -88,6 +88,11 @@ class TestComputeSphering:
         t = compute_sphering(cov)
         np.testing.assert_allclose(np.prod(t.eigenvalues), np.linalg.det(cov), rtol=1e-6)
 
+    def test_zero_covariance_gives_identity(self):
+        t = compute_sphering(np.zeros((3, 3)))
+        np.testing.assert_array_equal(t.matrix, np.eye(3))
+        np.testing.assert_array_equal(t.eigenvalues, np.zeros(3))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             compute_sphering(np.array([[1.0, 0.5], [0.0, 1.0]]))
