@@ -157,6 +157,15 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     scenario = SCENARIO_PRESETS[kind](seed=seed, **sections["scenario"])
     iva_cfg = IvaConfig(**sections["iva"])
     pipeline_cfg = PipelineConfig(**sections["stft"], **sections["preprocess"], iva=iva_cfg)
+    # the highpass's and the separation's limits on the simulated signal
+    nyquist = 0.5 / scenario.sample_interval_s
+    if not (pipeline_cfg.dc_cutoff_hz or 0.0) < nyquist:
+        raise ParameterError(f"preprocess.dc_cutoff_hz must be below Nyquist, {nyquist} Hz")
+    two_frames = 3 * pipeline_cfg.filter_length
+    if scenario.n_samples < two_frames:
+        raise ParameterError(
+            f"stft.filter_length needs {two_frames} samples for two frames, got {scenario.n_samples}"
+        )
 
     sources = dict(scenario=scenario, stft=pipeline_cfg, iva=iva_cfg, preprocess=pipeline_cfg)
     echo = {"seed": seed, "out_dir": str(out_dir)}

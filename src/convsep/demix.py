@@ -104,7 +104,7 @@ def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:
     frames = center(stft(sphered, cfg.n_bins, cfg.filter_length, "zeropad"))
     iva_bank, trace = run_iva(frames, cfg.iva)
     del frames
-    bank, refinement = refine_bank(iva_bank, sphered.data, cfg.filter_length)
+    bank, refinement = refine_bank(iva_bank, sphered.data)
     separated = apply_mimo_fir(bank, sphered)
     return PipelineResult(separated, bank, transform, trace, refinement)
 

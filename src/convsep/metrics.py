@@ -199,13 +199,12 @@ def evaluate_separation(
     sphering: SpheringTransform,
     images: list,
     dc_cutoff_hz: float | None = None,
-    transient: int | None = None,
     trace: ConvergenceTrace | None = None,
 ) -> SeparationReport:
     """Full report: assignment, SIR, SDR, and improvement over the best
-    unprocessed sensor, skipping the filter transient."""
-    if transient is None:
-        transient = bank.filter_length
+    unprocessed sensor, skipping the filter transient (the first filter
+    length of samples)."""
+    transient = bank.filter_length
     if dc_cutoff_hz is not None:
         images = [highpass_dc_removal(img, dc_cutoff_hz) for img in images]
     contributions = project_images(bank, sphering, images)
@@ -274,13 +273,13 @@ def moving_rms(ts: TimeSeries, window_s: float = 0.05) -> np.ndarray:
     return np.sqrt(env, out=env)
 
 
-def write_envelopes_csv(ts: TimeSeries, path, window_s: float = 0.05) -> None:
-    """CSV of envelope traces: time_s, env_out1, env_out2, ...
+def write_envelopes_csv(ts: TimeSeries, path) -> None:
+    """CSV of moving_rms envelope traces: time_s, env_out1, env_out2, ...
 
     One row per sample, time ``i * sample_interval_s``, every value as the
     shortest round-trip ``repr`` of its float64, CRLF line ends (the bytes
     ``csv.writer`` writes for the same rows)."""
-    env = moving_rms(ts, window_s)
+    env = moving_rms(ts)
     interval = ts.meta.sample_interval_s
     n = ts.n_samples
     row = ",".join(["%r"] * (ts.n_channels + 1)) + "\r\n"

@@ -226,14 +226,13 @@ def _coherent(y: np.ndarray, claimed: list, max_lag: int) -> bool:
 
 
 def refine_bank(
-    bank: DemixFilterBank, sphered: np.ndarray, block: int
+    bank: DemixFilterBank, sphered: np.ndarray
 ) -> tuple[DemixFilterBank, RefinementTrace]:
     """Refine every row of a causal bank on the sphered (P, N) signal.
 
-    block is the length, in samples, of the blocks over which each source's
-    variance is taken as constant (the pipeline passes the filter length,
-    the frame hop of the frequency-domain stage); shorter blocks than
-    MIN_BLOCK are lengthened to it. A single channel is returned unchanged.
+    Each source's variance is taken as constant over blocks of the bank's
+    filter length (the frame hop of the frequency-domain stage), at least
+    MIN_BLOCK samples. A single channel is returned unchanged.
     """
     sphered = np.asarray(sphered, dtype=np.float64)
     p, length = bank.n_channels, bank.filter_length
@@ -241,7 +240,7 @@ def refine_bank(
         raise ParameterError(f"bank has {p} channels, signal has {sphered.shape[0]}")
     if p == 1:
         return bank, RefinementTrace()
-    block = max(block, MIN_BLOCK)
+    block = max(length, MIN_BLOCK)
     rows = bank.coeffs.reshape(p, p * length).copy()
 
     stats = LaggedStatistics(sphered, length, block)

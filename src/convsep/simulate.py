@@ -53,6 +53,8 @@ MUAP_EOF_MARGIN = 4
 # QRS complex plus T wave: (amplitude, offset_ms, width_ms)
 ECG_WAVE_PARTS = ((-0.25, -18.0, 5.0), (1.0, 0.0, 7.0), (-0.35, 16.0, 5.0), (0.18, 120.0, 40.0))
 ECG_PERIOD_JITTER = 0.03
+# relative Gaussian jitter of each motor unit inter-spike interval
+FIRING_JITTER = 0.1
 
 
 def stream_rng(seed: int, label: str) -> np.random.Generator:
@@ -119,13 +121,12 @@ class MixingSystem:
 class SimScenario:
     """Complete description of one synthetic recording session.
 
-    n_sensors must equal n_sources (square demixing); gains are amplitude
+    There are as many sensors as sources (square demixing); gains are amplitude
     ratios of each source's sensor image against the EMG reference level.
     Every float value, in tuples too, must be finite.
     """
 
     n_sources: int = 4
-    n_sensors: int = 4
     kernel_length: int = 16
     duration_s: float = 60.0
     sample_interval_s: float = 0.976e-3
@@ -153,12 +154,8 @@ class SimScenario:
                 raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.n_sources != self.n_sensors:
-            raise ParameterError(
-                f"sensor count ({self.n_sensors}) must equal source count ({self.n_sources})"
-            )
         if self.n_sources < 1:
-            raise ParameterError("need at least one source")
+            raise ParameterError(f"n_sources must be >= 1, got {self.n_sources}")
         for name, tup in (
             ("source_kinds", self.source_kinds),
             ("firing_rates_hz", self.firing_rates_hz),
@@ -168,13 +165,13 @@ class SimScenario:
                 raise ParameterError(f"{name} must have {self.n_sources} entries, got {len(tup)}")
         for kind in self.source_kinds:
             if kind not in SOURCE_KINDS:
-                raise ParameterError(f"unknown source kind {kind!r}")
+                raise ParameterError(f"unknown source kind {kind!r} in source_kinds")
         if self.mixing not in MIXING_KINDS:
             raise ParameterError(f"unknown mixing kind {self.mixing!r}")
         if self.kernel_length < 8:
             raise ParameterError(f"kernel_length must be >= 8, got {self.kernel_length}")
         if not self.sample_interval_s > 0 or not self.duration_s > 0:
-            raise ParameterError("duration and sample interval must be positive")
+            raise ParameterError("duration_s and sample_interval_s must be positive")
         if not self.breath_period_s > 0:
             raise ParameterError(f"breath_period_s must be positive, got {self.breath_period_s}")
         if self.ecg_gain < 0:
@@ -182,7 +179,7 @@ class SimScenario:
         if not self.ecg_bpm > 0:
             raise ParameterError(f"ecg_bpm must be positive, got {self.ecg_bpm}")
         if not self.conduction_velocity_m_s > 0:
-            raise ParameterError("conduction velocity must be positive")
+            raise ParameterError("conduction_velocity_m_s must be positive")
         if self.sensor_spacing_m < 0:
             raise ParameterError(f"sensor_spacing_m must be >= 0, got {self.sensor_spacing_m}")
         muap_sources = [
@@ -190,7 +187,7 @@ class SimScenario:
         ]
         if self.mixing == "convolutive" and muap_sources:
             # the farthest sensor from any MUAP source, as _source_kernels places them
-            reach = max(max(q, self.n_sensors - 1 - q) for q in muap_sources)
+            reach = max(max(q, self.n_sources - 1 - q) for q in muap_sources)
             delay = reach * self.sensor_spacing_m / (
                 self.conduction_velocity_m_s * self.sample_interval_s
             )
@@ -201,11 +198,11 @@ class SimScenario:
                     f"{self.kernel_length}-tap kernel (kernel_length)"
                 )
         if any(r < 0 for r in self.firing_rates_hz):
-            raise ParameterError("firing rates must be >= 0")
+            raise ParameterError("firing_rates_hz must be >= 0")
         if any(d <= 0 for d in self.source_depths_m):
-            raise ParameterError("source depths must be positive")
+            raise ParameterError("source_depths_m must be positive")
         if self.n_samples < self.kernel_length:
-            raise ParameterError("scenario too short for one kernel length")
+            raise ParameterError("duration_s too short for one kernel_length")
 
     @property
     def n_samples(self) -> int:
@@ -236,10 +233,9 @@ def generate_impulse_train(
     n: int,
     sample_interval_s: float,
     rng: np.random.Generator,
-    jitter: float = 0.1,
 ) -> np.ndarray:
-    """Unit spikes with Gaussian-jittered inter-spike intervals, gated by the
-    envelope; with zero jitter the spacing is exactly round(1/(rate*Ta))."""
+    """Unit spikes with inter-spike intervals jittered by FIRING_JITTER
+    (Gaussian, relative), gated by the envelope."""
     if rate_hz < 0:
         raise ParameterError(f"rate must be >= 0, got {rate_hz}")
     out = np.zeros(n)
@@ -251,7 +247,7 @@ def generate_impulse_train(
     base = 1.0 / (rate_hz * sample_interval_s)
     idx = 0
     while True:
-        factor = 1.0 + jitter * rng.standard_normal() if jitter > 0 else 1.0
+        factor = 1.0 + FIRING_JITTER * rng.standard_normal()
         idx += max(1, int(round(base * max(factor, 0.1))))
         if idx >= n:
             break
@@ -311,15 +307,12 @@ def generate_ecg_interferer(
     n: int,
     sample_interval_s: float,
     rng: np.random.Generator,
-    amplitude: float = 1.0,
 ) -> np.ndarray:
     """QRS-plus-T pulse train at the given heart rate, 3% period jitter,
-    unit RMS before the amplitude factor."""
+    unit RMS."""
     if not bpm > 0:
         raise ParameterError(f"bpm must be positive, got {bpm}")
     out = np.zeros(n)
-    if amplitude == 0.0:
-        return out
     period = 60.0 / bpm
     t = 0.5 * period
     while True:
@@ -337,7 +330,7 @@ def generate_ecg_interferer(
         t += period * (1.0 + ECG_PERIOD_JITTER * rng.standard_normal())
     rms = float(np.sqrt(np.mean(out**2)))
     if rms > 0:
-        out *= amplitude / rms
+        out *= 1.0 / rms
     return out
 
 
@@ -389,7 +382,7 @@ def _source_signal(sc: SimScenario, q: int) -> np.ndarray:
 def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.ndarray:
     """Kernels of source q toward every sensor, (sensors, kernel_length)."""
     kind = sc.source_kinds[q]
-    p_count, l_mix = sc.n_sensors, sc.kernel_length
+    p_count, l_mix = sc.n_sources, sc.kernel_length
     out = np.zeros((p_count, l_mix))
     own = q
     for p in range(p_count):
@@ -466,7 +459,6 @@ def delayed_pair_scenario(seed: int = 0, **overrides) -> SimScenario:
     about four samples: separable convolutively, not instantaneously."""
     params = dict(
         n_sources=2,
-        n_sensors=2,
         duration_s=120.0,
         source_kinds=("emg", "emg"),
         firing_rates_hz=(13.0, 21.0),

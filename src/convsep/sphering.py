@@ -66,11 +66,11 @@ def estimate_spatial_covariance(ts: TimeSeries) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def compute_sphering(cov: np.ndarray, eps: float = DEFAULT_EIGENVALUE_FLOOR) -> SpheringTransform:
+def compute_sphering(cov: np.ndarray) -> SpheringTransform:
     """Eigendecompose cov and build T = E D^{-1/2} E^T.
 
-    Eigenvalues below eps * max(D) are floored to that value, so zero and
-    near-zero directions stay finite instead of exploding.
+    Eigenvalues below DEFAULT_EIGENVALUE_FLOOR * max(D) are floored to that
+    value, so zero and near-zero directions stay finite instead of exploding.
     """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -78,18 +78,16 @@ def compute_sphering(cov: np.ndarray, eps: float = DEFAULT_EIGENVALUE_FLOOR) -> 
     scale = max(float(np.max(np.abs(cov))), np.finfo(float).tiny)
     if float(np.max(np.abs(cov - cov.T))) > 1e-8 * scale:
         raise ParameterError("covariance is not symmetric")
-    if not eps > 0:
-        raise ParameterError(f"eigenvalue floor must be positive, got {eps}")
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (cov + cov.T))
     top = float(eigenvalues.max())
     if top <= 0:
         # zero (or negative-roundoff) covariance: fall back to the identity
         n = cov.shape[0]
-        return SpheringTransform(np.eye(n), np.zeros(n), eps)
-    floored = np.maximum(eigenvalues, eps * top)
+        return SpheringTransform(np.eye(n), np.zeros(n), DEFAULT_EIGENVALUE_FLOOR)
+    floored = np.maximum(eigenvalues, DEFAULT_EIGENVALUE_FLOOR * top)
     matrix = (eigenvectors * floored**-0.5) @ eigenvectors.T
     matrix = 0.5 * (matrix + matrix.T)
-    return SpheringTransform(matrix, floored, eps)
+    return SpheringTransform(matrix, floored, DEFAULT_EIGENVALUE_FLOOR)
 
 
 def apply_sphering(transform: SpheringTransform, ts: TimeSeries) -> TimeSeries:

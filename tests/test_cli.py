@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import convsep
-from convsep.cli import main
+from convsep.cli import CONFIG_FIELDS, main
 from convsep.spectral import load_filter_bank
 
 
@@ -81,6 +81,7 @@ class TestSimulateCommand:
             ({"preprocess": {"eigenvalue_floor": 1e-10}}, "eigenvalue_floor"),
             ({"preprocess": {"sphering": "false"}}, "sphering"),
             ({"scenario": {"seed": 3}}, "scenario.seed"),
+            ({"scenario": {"n_sensors": 4}}, "scenario.n_sensors"),
         ],
     )
     def test_bad_config_key_exits_2(self, tmp_path, capsys, overrides, key):
@@ -119,6 +120,14 @@ class TestSimulateCommand:
             ({"iva": {"convergence_tol": float("inf")}}, "convergence_tol"),
             ({"preprocess": {"dc_cutoff_hz": float("inf")}}, "dc_cutoff_hz"),
             ({"scenario": {"kind": "bogus"}}, "scenario.kind"),
+            (
+                {"scenario": {"kind": "diagonal", "duration_s": 2.0}, "preprocess": {"dc_cutoff_hz": 600.0}},
+                "preprocess.dc_cutoff_hz",
+            ),
+            (
+                {"scenario": {"kind": "diagonal", "duration_s": 2.0}, "stft": {"filter_length": 1024}},
+                "stft.filter_length",
+            ),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
@@ -134,6 +143,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--seed", "-5"]) == 2
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_two_frame_limit_is_the_separations(self, tmp_path):
+        # 48 samples hold exactly two 32-point frames one filter length (16) apart
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 48 * 0.976e-3})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out" / "mixed.json").read_text())["samples"] == 48
+        assert main(["separate", "--config", str(cfg)]) == 0
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 47 * 0.976e-3})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "short")]) == 2
+        assert not (tmp_path / "short").exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -161,6 +181,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(out / "config_echo.json")]) == 0
         for name, payload in snapshot.items():
             assert (out / name).read_bytes() == payload, f"{name} changed on rerun"
+
+
+# Every config key; adding, renaming or removing one must be deliberate.
+CONFIG_KEYS = {
+    "scenario": {
+        "kind", "n_sources", "kernel_length", "duration_s", "sample_interval_s",
+        "source_kinds", "firing_rates_hz", "source_depths_m", "breath_period_s", "ecg_bpm",
+        "emg_gain", "ecg_gain", "noise_gain", "conduction_velocity_m_s", "sensor_spacing_m",
+        "lateral_attenuation", "end_of_fiber_amp", "kernel_gain_jitter", "mixing",
+    },
+    "stft": {"filter_length"},
+    "iva": {"step_size", "max_iterations", "convergence_tol", "norm_guard"},
+    "preprocess": {"dc_cutoff_hz", "sphering"},
+}
+
+
+def test_config_key_set_is_pinned(tmp_path):
+    assert {section: set(fields) for section, fields in CONFIG_FIELDS.items()} == CONFIG_KEYS
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+    assert set(echo) == {"seed", "out_dir", *CONFIG_KEYS}
+    assert {section: set(echo[section]) for section in CONFIG_KEYS} == CONFIG_KEYS
 
 
 class TestSeparateCommand:

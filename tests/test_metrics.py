@@ -232,9 +232,7 @@ class TestOracleBank:
             TimeSeries(np.outer(mixing[:, q], sources[q]), meta) for q in range(3)
         ]
         bank = DemixFilterBank(np.linalg.inv(mixing)[:, :, None])
-        report = evaluate_separation(
-            bank, SpheringTransform.identity(3), images, transient=0
-        )
+        report = evaluate_separation(bank, SpheringTransform.identity(3), images)
         assert report.sir_db == (DB_CAP,) * 3
 
 

@@ -71,7 +71,7 @@ class TestRefineBank:
     def test_single_channel_unchanged(self):
         rng = np.random.default_rng(22)
         bank = DemixFilterBank(rng.standard_normal((1, 1, 4)))
-        refined, trace = refine_bank(bank, rng.standard_normal((1, 200)), 4)
+        refined, trace = refine_bank(bank, rng.standard_normal((1, 200)))
         assert refined is bank
         assert trace.steps == ()
 
@@ -82,10 +82,36 @@ class TestRefineBank:
         s = rng.standard_normal(4000) * np.repeat(rng.uniform(0.1, 2.0, 100), 40)
         bank = DemixFilterBank.identity(2, 4)
         for x in (np.stack([s, s[::-1]]), np.stack([s[::-1], s])):
-            first, trace = refine_bank(bank, x, 40)
-            second, _ = refine_bank(bank, x, 40)
+            first, trace = refine_bank(bank, x)
+            second, _ = refine_bank(bank, x)
             assert first.coeffs.tobytes() == second.coeffs.tobytes()
             assert trace.order == (0, 1)
+
+    def test_singular_step_keeps_iva_row(self, monkeypatch):
+        # two mixed bursty sources: output 0 is refined first and accepted
+        rng = np.random.default_rng(2)
+        gate = (rng.uniform(size=(2, 100)) < 0.3) + 0.01
+        x = np.array([[1.0, 0.3], [0.3, 1.0]]) @ (
+            rng.standard_normal((2, 4000)) * np.repeat(gate, 40, axis=1)
+        )
+        bank = DemixFilterBank.identity(2, 4)
+        _, trace = refine_bank(bank, x)
+        assert trace.order[0] == 0 and trace.accepted[0] and trace.steps[0] == 5
+
+        solve, calls = np.linalg.solve, []
+
+        def singular_second_step(a, b):
+            calls.append(1)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_second_step)
+        refined, trace = refine_bank(bank, x)
+        assert len(calls) > 2  # the next output is still refined
+        assert not trace.accepted[0] and trace.steps[0] == 1
+        assert trace.contrast_after[0] == trace.contrast_before[0]
+        np.testing.assert_array_equal(refined.coeffs[0], bank.coeffs[0])
 
 
 def test_refinement_raises_ecg_output_sir():
@@ -99,7 +125,7 @@ def test_refinement_raises_ecg_output_sir():
     sphered = apply_sphering(transform, prepared)
     frames = center(stft(sphered, cfg.n_bins, cfg.filter_length, "zeropad"))
     iva_bank, _ = run_iva(frames, cfg.iva)
-    refined, trace = refine_bank(iva_bank, sphered.data, cfg.filter_length)
+    refined, trace = refine_bank(iva_bank, sphered.data)
 
     def ecg_sir(bank):
         report = evaluate_separation(bank, transform, sim.images, dc_cutoff_hz=cfg.dc_cutoff_hz)

@@ -3,6 +3,7 @@ import pytest
 
 from convsep.errors import ParameterError
 from convsep.sphering import (
+    DEFAULT_EIGENVALUE_FLOOR,
     SpheringTransform,
     apply_sphering,
     compute_sphering,
@@ -73,9 +74,10 @@ class TestComputeSphering:
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
         lam, vecs = eigen_2x2(cov)
         assert lam[0] == pytest.approx(0.0, abs=1e-12) and lam[1] == pytest.approx(2.0)
-        t = compute_sphering(cov, eps=1e-6)
+        t = compute_sphering(cov)
         assert np.all(np.isfinite(t.matrix))
-        assert t.eigenvalues.min() == pytest.approx(1e-6 * 2.0)
+        assert t.eigenvalues.min() == pytest.approx(DEFAULT_EIGENVALUE_FLOOR * 2.0)
+        assert t.regularization_eps == DEFAULT_EIGENVALUE_FLOOR
         # the retained direction is whitened to unit power
         out = t.matrix @ cov @ t.matrix.T
         top = vecs[:, 1]
