@@ -25,7 +25,12 @@ from .errors import (
     UndefinedSirError,
 )
 from .iva import IvaConfig, write_trace_csv
-from .metrics import evaluate_separation, trace_summary, write_envelopes_csv
+from .metrics import (
+    MAX_ASSIGNMENT_CHANNELS,
+    evaluate_separation,
+    trace_summary,
+    write_envelopes_csv,
+)
 from .signal import (
     SignalMetadata,
     TimeSeries,
@@ -165,6 +170,12 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     if scenario.n_samples < two_frames:
         raise ParameterError(
             f"stft.filter_length needs {two_frames} samples for two frames, got {scenario.n_samples}"
+        )
+    # the scoring's limit: its assignment search tries every permutation
+    if args.command in ("evaluate", "pipeline") and scenario.n_sources > MAX_ASSIGNMENT_CHANNELS:
+        raise ParameterError(
+            f"scenario.n_sources must be at most {MAX_ASSIGNMENT_CHANNELS} to evaluate, "
+            f"got {scenario.n_sources}"
         )
 
     sources = dict(scenario=scenario, stft=pipeline_cfg, iva=iva_cfg, preprocess=pipeline_cfg)

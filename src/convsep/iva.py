@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDivergenceError, ParameterError, SingularFilterError
+from .signal import _open_new
 from .spectral import DemixFilterBank, FrequencyFilterBank, SpectralFrames
 
 __all__ = [
@@ -308,7 +309,7 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """CSV with columns iteration, mean_update_norm, max_update_norm."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_new(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("iteration,mean_update_norm,max_update_norm\r\n")
         rows = zip(trace.mean_update_norm, trace.max_update_norm)
         for i, (mean_norm, max_norm) in enumerate(rows, start=1):

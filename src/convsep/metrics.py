@@ -18,7 +18,7 @@ import numpy as np
 from .demix import PipelineConfig, PipelineResult, apply_mimo_fir, demix_pipeline
 from .errors import ParameterError, UndefinedSirError
 from .iva import ConvergenceTrace
-from .signal import TimeSeries, highpass_dc_removal
+from .signal import TimeSeries, _open_new, highpass_dc_removal
 from .simulate import SimScenario, Simulation, build_scenario
 from .spectral import DemixFilterBank
 from .sphering import SpheringTransform, apply_sphering
@@ -74,7 +74,10 @@ def _own_vs_rest_db(power: np.ndarray) -> list[list[float]]:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Permutation assignment plus per-output quality figures in dB."""
+    """Permutation assignment plus per-output quality figures in dB.
+
+    sir_capped[j] is true where output j's SIR sits at +-DB_CAP: the figure
+    (and its improvement) is then only a bound on the true value."""
 
     assignment: tuple[int, ...]
     sir_db: tuple[float, ...]
@@ -82,6 +85,7 @@ class SeparationReport:
     sir_improvement_db: tuple[float, ...]
     input_sir_db: tuple[float, ...]
     convergence: dict | None = None
+    sir_capped: tuple[bool, ...] = dataclasses.field(init=False)
 
     def __post_init__(self):
         n = len(self.assignment)
@@ -93,6 +97,7 @@ class SeparationReport:
                 raise ParameterError(f"{name} must have {n} entries")
             object.__setattr__(self, name, tuple(float(v) for v in vals))
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
+        object.__setattr__(self, "sir_capped", tuple(abs(v) == DB_CAP for v in self.sir_db))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -283,7 +288,7 @@ def write_envelopes_csv(ts: TimeSeries, path) -> None:
     interval = ts.meta.sample_interval_s
     n = ts.n_samples
     row = ",".join(["%r"] * (ts.n_channels + 1)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_new(path, "w", newline="", encoding="utf-8") as fh:
         header = ["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)]
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, _CSV_BLOCK_SAMPLES):

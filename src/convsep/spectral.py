@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .signal import SignalMetadata, TimeSeries, _frozen_array, _json_int, read_json, write_json
+from .signal import (
+    SignalMetadata,
+    TimeSeries,
+    _frozen_array,
+    _json_int,
+    _open_new,
+    read_json,
+    write_json,
+)
 
 __all__ = [
     "SpectralFrames",
@@ -209,7 +217,8 @@ def filters_to_freq(bank: DemixFilterBank) -> FrequencyFilterBank:
 
 def save_filter_bank(bank: DemixFilterBank, path, header) -> None:
     """Write {P, L} JSON header plus raw little-endian float64 in (q, p, k) order."""
-    np.ascontiguousarray(bank.coeffs, dtype="<f8").tofile(path)
+    with _open_new(path, "wb") as fh:
+        np.ascontiguousarray(bank.coeffs, dtype="<f8").tofile(fh)
     write_json({"P": bank.n_channels, "L": bank.filter_length}, header)
 
 

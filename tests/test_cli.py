@@ -207,6 +207,47 @@ def test_config_key_set_is_pinned(tmp_path):
     assert {section: set(echo[section]) for section in CONFIG_KEYS} == CONFIG_KEYS
 
 
+def n_source_config(path, n):
+    write_config(
+        path,
+        scenario={
+            "kind": "diagonal",
+            "duration_s": 2.0,
+            "n_sources": n,
+            "source_kinds": ["emg"] * n,
+            "firing_rates_hz": [13.0 + 2 * q for q in range(n)],
+            "source_depths_m": [0.01] * n,
+        },
+    )
+
+
+class TestSourceCountLimit:
+    # the scoring's permutation search stops at MAX_ASSIGNMENT_CHANNELS (6) sources
+    def test_simulate_and_separate_accept_seven_sources(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        n_source_config(cfg, 7)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["separate", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "out" / "filterbank.json").read_text())["P"] == 7
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "scenario.n_sources" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_scoring_rejects_seven_sources_before_out_dir(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        n_source_config(cfg, 7)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "scenario.n_sources" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_six_sources_are_scored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        n_source_config(cfg, 6)
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        assert len(json.loads((tmp_path / "out" / "report.json").read_text())["sir_db"]) == 6
+
+
 class TestSeparateCommand:
     def test_missing_input_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -340,6 +381,31 @@ class TestReproducibility:
         for name, payload in snapshot.items():
             assert (out / name).read_bytes() == payload, f"{name} changed on rerun"
         assert len(list(out.iterdir())) == len(snapshot)
+
+    def test_rerun_writes_each_artifact_to_a_new_file(self, tmp_path):
+        # each rewritten artifact is unlinked, then written afresh; the hard
+        # links keep the old inodes alive, so their numbers cannot be reused
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        out, old = tmp_path / "out", tmp_path / "old"
+        old.mkdir()
+        for path in out.iterdir():
+            os.link(path, old / path.name)
+        echo = str(out / "config_echo.json")
+        assert main(["separate", "--config", echo]) == 0
+        assert main(["evaluate", "--config", echo]) == 0
+        rewritten = {
+            path.name for path in out.iterdir()
+            if path.stat().st_ino != (old / path.name).stat().st_ino
+        }
+        assert rewritten == {
+            "separated.raw", "separated.json", "filterbank.raw", "filterbank.json",
+            "convergence.csv", "run_report.json", "report.json", "envelopes.csv",
+            "config_echo.json",
+        }
+        for path in out.iterdir():
+            assert path.read_bytes() == (old / path.name).read_bytes(), f"{path.name} changed"
 
 
 class TestStartup:

@@ -234,6 +234,7 @@ class TestOracleBank:
         bank = DemixFilterBank(np.linalg.inv(mixing)[:, :, None])
         report = evaluate_separation(bank, SpheringTransform.identity(3), images)
         assert report.sir_db == (DB_CAP,) * 3
+        assert report.sir_capped == (True,) * 3
 
 
 class TestInputSir:
@@ -294,11 +295,18 @@ class TestEvaluateSeparation:
             "sir_improvement_db",
             "input_sir_db",
             "convergence",
+            "sir_capped",
         }
+        assert payload["sir_capped"] == (False, False)
 
     def test_rejects_bad_assignment(self):
         with pytest.raises(ParameterError):
             SeparationReport((0, 0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0))
+
+    def test_capped_sir_is_marked(self):
+        zeros = (0.0, 0.0, 0.0)
+        report = SeparationReport((1, 0, 2), (DB_CAP, 42.0, -DB_CAP), zeros, zeros, zeros)
+        assert report.sir_capped == (True, False, True)
 
 
 class TestCompareInstantaneous:

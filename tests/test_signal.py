@@ -1,12 +1,22 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from convsep.errors import DataError, FormatError, ParameterError
-from convsep.signal import SignalMetadata, TimeSeries, highpass_dc_removal, read_raw, write_raw
+from convsep.iva import ConvergenceTrace, write_trace_csv
+from convsep.metrics import write_envelopes_csv
+from convsep.signal import (
+    SignalMetadata,
+    TimeSeries,
+    highpass_dc_removal,
+    read_raw,
+    write_json,
+    write_raw,
+)
 from convsep.simulate import MixingSystem, SourceSet
-from convsep.spectral import DemixFilterBank, FrequencyFilterBank, SpectralFrames
+from convsep.spectral import DemixFilterBank, FrequencyFilterBank, SpectralFrames, save_filter_bank
 from convsep.sphering import SpheringTransform
 
 
@@ -192,6 +202,47 @@ class TestRawIO:
         flat = np.fromfile(raw, dtype="<f4")
         # frame 0 = (ch1[0], ch2[0]), frame 1 = (ch1[1], ch2[1])
         assert flat.tolist() == [1.0, 10.0, 2.0, 20.0]
+
+
+def _signal(value):
+    return TimeSeries(np.full((2, 64), value), SignalMetadata(1e-3, ("a", "b")))
+
+
+# writer name -> write(path, value): each of the five writers, writing
+# content that differs between two values
+WRITERS = {
+    "write_json": lambda path, value: write_json({"value": value}, path),
+    "write_raw": lambda path, value: write_raw(_signal(value), path, path.with_suffix(".json")),
+    "save_filter_bank": lambda path, value: save_filter_bank(
+        DemixFilterBank(np.full((2, 2, 4), value)), path, path.with_suffix(".json")
+    ),
+    "write_envelopes_csv": lambda path, value: write_envelopes_csv(_signal(value), path),
+    "write_trace_csv": lambda path, value: write_trace_csv(
+        ConvergenceTrace([value], [value], converged=False), path
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+class TestWritesNewFile:
+    def test_hard_link_keeps_old_bytes(self, tmp_path, writer):
+        path, link = tmp_path / "artifact", tmp_path / "link"
+        WRITERS[writer](path, 1.0)
+        old = path.read_bytes()
+        os.link(path, link)
+        WRITERS[writer](path, 2.0)
+        assert link.read_bytes() == old
+        assert path.read_bytes() != old
+        assert path.stat().st_ino != link.stat().st_ino
+
+    def test_symlink_is_written_through(self, tmp_path, writer):
+        target, path = tmp_path / "target", tmp_path / "artifact"
+        WRITERS[writer](target, 1.0)
+        path.symlink_to(target)
+        WRITERS[writer](path, 2.0)
+        assert path.is_symlink()
+        WRITERS[writer](tmp_path / "fresh", 2.0)
+        assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
 class TestHighpass:
