@@ -133,15 +133,18 @@ def _open_new(path, mode: str, **kwargs):
     """open(path, mode) for writing on a new inode, the one place that opens
     a file for writing.
 
-    A regular file at path is unlinked first, never truncated: rewriting a
-    file in place makes ext4 (auto_da_alloc) allocate its blocks at once,
-    and each later delete of it then pays tens of milliseconds to free them.
-    A missing path, a symlink (followed to its target) or a device is opened
-    as is."""
+    A regular file at path is unlinked first, not truncated. On ext4
+    (auto_da_alloc) truncating a file and writing it again allocates its
+    blocks at once, so a rerun or delete soon after pays tens of
+    milliseconds per file to free them; a file written new has no blocks
+    until writeback (about 30 s later), and freeing it costs nothing before
+    then. After writeback both pay the same. A missing path, a symlink
+    (followed to its target) or a device is opened as is, and so is a file
+    whose directory does not let it be unlinked."""
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
-    except FileNotFoundError:
+    except (FileNotFoundError, PermissionError):
         pass
     return open(path, mode, **kwargs)
 

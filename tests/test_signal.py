@@ -245,6 +245,23 @@ class TestWritesNewFile:
         assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
+    def test_refused_unlink_rewrites_in_place(self, tmp_path, writer, monkeypatch):
+        # a directory that does not let the user unlink the file (not
+        # writable, or sticky and owned by another user): truncate as before
+        path = tmp_path / "artifact"
+        WRITERS[writer](path, 1.0)
+        inode = path.stat().st_ino
+
+        def refuse(target):
+            raise PermissionError(13, "Permission denied", str(target))
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        WRITERS[writer](path, 2.0)
+        monkeypatch.undo()
+        assert path.stat().st_ino == inode
+        WRITERS[writer](tmp_path / "fresh", 2.0)
+        assert path.read_bytes() == (tmp_path / "fresh").read_bytes()
+
 class TestHighpass:
     @pytest.mark.parametrize(
         "shape, cutoff_hz, interval_s",

@@ -7,67 +7,52 @@ from pathlib import Path
 import convsep
 
 SOURCES = sorted(Path(convsep.__file__).parent.glob("*.py"))
-HELPER = ("signal.py", "_open_new")
 
 
-def _open_mode(call: ast.Call, position: int) -> str:
-    """The mode an open call passes: positional or keyword; 'w' if not a literal."""
+def _name(call: ast.Call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether an open call asks for a write mode (a non-literal mode counts)."""
+    position = 1 if isinstance(call.func, ast.Name) else 0  # open(path, mode) / p.open(mode)
     given = call.args[position : position + 1] + [k.value for k in call.keywords if k.arg == "mode"]
     if not given:
-        return "r"
-    node = given[0]
-    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else "w"
-
-
-class _StrayWrites(ast.NodeVisitor):
-    """file:line of each write-mode open, .tofile, .write_text or .write_bytes
-    call that bypasses the helper. A .tofile call passes if it writes to a
-    handle that an enclosing `with _open_new(...) as handle` opened."""
-
-    def __init__(self, filename: str):
-        self.filename = filename
-        self.function = None
-        self.handles = set()
-        self.found = []
-
-    def visit_FunctionDef(self, node):
-        outer, self.function = self.function, node.name
-        self.generic_visit(node)
-        self.function = outer
-
-    def visit_With(self, node):
-        opened = {
-            item.optional_vars.id
-            for item in node.items
-            if isinstance(item.context_expr, ast.Call)
-            and isinstance(item.context_expr.func, ast.Name)
-            and item.context_expr.func.id == HELPER[1]
-            and isinstance(item.optional_vars, ast.Name)
-        }
-        self.handles |= opened
-        self.generic_visit(node)
-        self.handles -= opened
-
-    def visit_Call(self, node):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "open":
-            stray = bool(set(_open_mode(node, 1 if isinstance(func, ast.Name) else 0)) & set("wax+"))
-            stray = stray and (self.filename, self.function) != HELPER
-        elif name == "tofile":
-            handle = node.args[0] if node.args else None
-            stray = not (isinstance(handle, ast.Name) and handle.id in self.handles)
-        else:
-            stray = name in ("write_text", "write_bytes")
-        if stray:
-            self.found.append(f"{self.filename}:{node.lineno}")
-        self.generic_visit(node)
+        return False
+    mode = given[0].value if isinstance(given[0], ast.Constant) else "w"
+    return not isinstance(mode, str) or bool(set(mode) & set("wax+"))
 
 
 def stray_writes(source: str, filename: str) -> list:
-    finder = _StrayWrites(filename)
-    finder.visit(ast.parse(source))
-    return finder.found
+    """file:line of each write-mode open outside the helper, each
+    .write_text/.write_bytes, and each .tofile not on a handle that an
+    enclosing `with _open_new(...) as handle` opened."""
+    tree = ast.parse(source)
+    in_helper, handles = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and (filename, node.name) == ("signal.py", "_open_new"):
+            in_helper |= {id(inner) for inner in ast.walk(node)}
+        if isinstance(node, ast.With):
+            for item in node.items:
+                call, handle = item.context_expr, item.optional_vars
+                if isinstance(call, ast.Call) and _name(call) == "_open_new" and isinstance(handle, ast.Name):
+                    for inner in ast.walk(node):
+                        handles.setdefault(id(inner), set()).add(handle.id)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _name(node)
+        if name == "open":
+            stray = _writes(node) and id(node) not in in_helper
+        elif name == "tofile":
+            target = node.args[0] if node.args else None
+            stray = not (isinstance(target, ast.Name) and target.id in handles.get(id(node), ()))
+        else:
+            stray = name in ("write_text", "write_bytes")
+        if stray:
+            found.append(f"{filename}:{node.lineno}")
+    return sorted(found, key=lambda line: int(line.rsplit(":", 1)[1]))
 
 
 def test_every_write_goes_through_the_helper():
@@ -89,8 +74,9 @@ def test_guard_flags_writes_that_bypass_the_helper():
         "    Path(path).write_text('x')\n"
         "    with _open_new(path, 'wb') as fh:\n"
         "        arr.tofile(fh)\n"
+        "        arr.tofile(path)\n"
         "    open(path).read()\n"
     )
     assert stray_writes(source, "metrics.py") == [
-        "metrics.py:2", "metrics.py:4", "metrics.py:5", "metrics.py:6",
+        "metrics.py:2", "metrics.py:4", "metrics.py:5", "metrics.py:6", "metrics.py:9",
     ]
