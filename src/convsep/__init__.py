@@ -1,8 +1,8 @@
 """Convolutive blind source separation for respiratory surface EMG.
 
 Frequency-domain independent vector analysis with spatial prewhitening,
-a nonstationarity-weighted time-domain refinement of the causal FIR bank,
-a synthetic convolutive EMG/ECG mixture generator, and a
+a nonstationarity-weighted time-domain refinement of one row of the
+causal FIR bank, a synthetic convolutive EMG/ECG mixture generator, and a
 permutation-aligned SIR/SDR evaluation harness.
 """
 

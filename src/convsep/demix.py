@@ -60,8 +60,9 @@ class PipelineConfig:
 
 
 class PipelineResult(NamedTuple):
-    """bank is the refined bank that produced separated; trace describes
-    the frequency-domain stage that seeded it."""
+    """bank is the bank that produced separated: the frequency-domain
+    stage's, which trace describes, with at most its most nonstationary row
+    refined, which refinement describes."""
 
     separated: TimeSeries
     bank: DemixFilterBank
@@ -89,9 +90,9 @@ def apply_mimo_fir(bank: DemixFilterBank, ts: TimeSeries) -> TimeSeries:
 
 def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:
     """DC removal, sphering, STFT + centering, frequency-domain separation,
-    time-domain refinement of the causal bank (refine.refine_bank, with the
-    source variances taken per filter-length block), then the refined FIR bank
-    applied to the sphered time-domain signal."""
+    time-domain refinement of the causal bank's most nonstationary row
+    (refine.refine_bank, with the source variance taken per filter-length
+    block), then the FIR bank applied to the sphered time-domain signal."""
     prepared = ts
     if cfg.dc_cutoff_hz is not None:
         prepared = highpass_dc_removal(prepared, cfg.dc_cutoff_hz)

@@ -166,11 +166,25 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     weighted 2. The guard of norm_guard=None is the smallest normal float.
     Returns the new bank plus the bin-weighted mean and the max Frobenius
     norm of the bracketed term over bins (the convergence-trace entries).
+    Raises ParameterError when the bank's bins or channels differ from the
+    outputs', or when given outputs lack non-negative (blocks, channels) norms.
     """
     response = state.filters.response
     outputs_given = isinstance(state.outputs, SpectralFrames)
     source = state.outputs.data.transpose(2, 0, 1) if outputs_given else state.outputs
     n_bins, channels, n_blocks = source.shape
+    if response.shape != (n_bins, channels, channels):
+        raise ParameterError(
+            f"bank is {response.shape[0]} bins x {response.shape[1]} channels, "
+            f"outputs are {n_bins} x {channels}"
+        )
+    if outputs_given and (
+        np.shape(state.norms) != (n_blocks, channels) or np.any(np.asarray(state.norms) < 0)
+    ):
+        raise ParameterError(
+            f"norms must be non-negative (blocks, channels) = ({n_blocks}, {channels}), "
+            f"got shape {np.shape(state.norms)}"
+        )
     weights = np.ones(n_bins)
     if not outputs_given:
         weights[1:-1] = 2.0

@@ -187,7 +187,7 @@ def input_sir(images: list, transient: int = 0) -> tuple[float, ...]:
 def trace_summary(trace: ConvergenceTrace | None) -> dict | None:
     """JSON-ready summary of the frequency-domain stage. The discarded
     energy describes that stage's bank, before the time-domain refinement
-    replaced it, hence its iva_bank_ prefix."""
+    of one of its rows, hence its iva_bank_ prefix."""
     if trace is None:
         return None
     return {

@@ -21,13 +21,12 @@ reads channel q. The first term keeps the minimum-distortion property
 (the output approximates its source's image at channel q); the second
 suppresses whatever the output carries while its source is quiet.
 
-Outputs are refined in order of their IVA-stage contrast, most
-nonstationary first. A refined row replaces its IVA row only if it makes
-the output clearly more nonstationary (where the source's variance barely
-changes, the model cannot tell it from the interference, and the step
-drifts back toward the raw channel) and if its output is not coherent with
-one refined before it (it would have converged onto a source already
-taken; no source is claimed twice).
+Only the most nonstationary output of the IVA stage (the lowest block
+contrast) is refined. Its refined row replaces the IVA row only if it
+makes the output clearly more nonstationary: where the source's variance
+barely changes, the model cannot tell it from the interference, and the
+step drifts back toward the raw channel. Every other row stays the IVA
+row.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = [
     "refine_bank",
 ]
 
-# majorize-minimize steps per output
+# majorize-minimize steps of the refined output
 REFINEMENT_STEPS = 5
 # shortest variance block in samples: over fewer samples a block power is
 # too noisy a variance estimate to tell one source from another
@@ -57,12 +56,12 @@ MIN_BLOCK = 16
 # block powers are floored at this fraction of their mean, so silent
 # blocks get a large but finite weight
 _POWER_FLOOR = 1e-10
-# peak normalized cross-correlation above which two refined outputs are
-# taken to carry the same source
-_COHERENCE_LIMIT = 0.5
 # a refined row is kept only if its contrast drop over the IVA output is
 # this many standard errors of the blockwise paired difference
 _MIN_DROP_Z = 5.0
+# blockwise log-power differences that spread less than this are rounding,
+# not a change (a row the steps leave in place differs by about 1e-16)
+_MIN_SPREAD = 1e-9
 # samples per chunk when the lagged vectors are materialized (x P*L doubles),
 # and block ends per chunk of the diagonal-step product
 _CHUNK_SAMPLES = 512
@@ -71,20 +70,20 @@ _GRAM_BLOCKS = 256
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Per-output record of the refinement, indexed by output.
+    """Record of the refinement of one output.
 
-    order lists the outputs in the order they were refined; accepted says
-    which refined rows replaced their IVA row; steps counts the
-    majorize-minimize steps taken (0 for an output whose IVA output was
-    already coherent with an accepted one); the contrasts are block_contrast of the
-    output before and after (equal where the refinement was not accepted).
+    output is the refined output, the lowest of contrast_before (the
+    block_contrast of every IVA output); accepted says whether its refined
+    row replaced the IVA row; steps counts the majorize-minimize steps
+    taken; contrast_after is the output's block_contrast afterwards (equal
+    to its contrast_before where the refinement was not accepted).
     """
 
-    order: tuple[int, ...] = ()
-    accepted: tuple[bool, ...] = ()
-    steps: tuple[int, ...] = ()
-    contrast_before: tuple[float, ...] = ()
-    contrast_after: tuple[float, ...] = ()
+    output: int
+    accepted: bool
+    steps: int
+    contrast_before: tuple[float, ...]
+    contrast_after: float
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -126,7 +125,7 @@ def _contrast_drop_z(before: np.ndarray, after: np.ndarray) -> float:
     differences of log relative power."""
     diff = _log_relative(after) - _log_relative(before)
     spread = float(np.std(diff))
-    if spread == 0.0:
+    if spread < _MIN_SPREAD:
         return 0.0
     return -float(np.mean(diff)) * np.sqrt(diff.size) / spread
 
@@ -213,84 +212,47 @@ class LaggedStatistics:
         return y
 
 
-def _peak_coherence(a: np.ndarray, b: np.ndarray, max_lag: int) -> float:
-    """Largest |normalized cross-correlation| of a and b over |lag| <= max_lag."""
-    norm = float(np.sqrt(np.dot(a, a) * np.dot(b, b)))
-    if norm == 0.0:
-        return 0.0
-    return float(np.max(np.abs(np.correlate(np.pad(a, max_lag), b, "valid")))) / norm
-
-
-def _coherent(y: np.ndarray, claimed: list, max_lag: int) -> bool:
-    return any(_peak_coherence(y, u, max_lag) > _COHERENCE_LIMIT for u in claimed)
-
-
 def refine_bank(
     bank: DemixFilterBank, sphered: np.ndarray
 ) -> tuple[DemixFilterBank, RefinementTrace]:
-    """Refine every row of a causal bank on the sphered (P, N) signal.
+    """Refine the most nonstationary row of a causal bank on the sphered
+    (P, N) signal; contrasts equal to 9 decimals go to the lowest index.
 
-    Each source's variance is taken as constant over blocks of the bank's
+    The source's variance is taken as constant over blocks of the bank's
     filter length (the frame hop of the frequency-domain stage), at least
-    MIN_BLOCK samples. A single channel is returned unchanged.
+    MIN_BLOCK samples. Unless the refined row is accepted (never for a
+    single channel), the bank itself is returned.
     """
     sphered = np.asarray(sphered, dtype=np.float64)
     p, length = bank.n_channels, bank.filter_length
     if sphered.shape[0] != p:
         raise ParameterError(f"bank has {p} channels, signal has {sphered.shape[0]}")
-    if p == 1:
-        return bank, RefinementTrace()
     block = max(length, MIN_BLOCK)
     rows = bank.coeffs.reshape(p, p * length).copy()
-
     stats = LaggedStatistics(sphered, length, block)
-    # the IVA outputs are kept as block powers only
     initial = [_block_powers(stats.output(row), block) for row in rows]
     before = tuple(_contrast(power) for power in initial)
-    # most nonstationary first; contrasts equal to 1e-9 keep index order
-    order = tuple(int(q) for q in np.lexsort((np.arange(p), np.round(before, 9))))
+    q = int(np.argmin(np.round(before, 9)))
     cov = stats.covariance()
-    after = list(before)
-    accepted = [False] * p
-    steps = [0] * p
-    claimed: list[np.ndarray] = []
-    for q in order:
-        target = np.zeros(p * length)
-        target[q * length] = 1.0
-        goal = cov @ target
-        row, power = rows[q], initial[q]
-        # an output that already carries a claimed source is not refined
-        kept = not (claimed and _coherent(stats.output(row), claimed, length))
-        for _ in range(REFINEMENT_STEPS if kept else 0):
-            power = np.maximum(power, _POWER_FLOOR * max(float(power.mean()), np.finfo(float).tiny))
-            resid = row - target
-            resid_power = float(resid @ cov @ resid)
-            try:
-                row = np.linalg.solve(cov + stats.covariance(resid_power / power), goal)
-            except np.linalg.LinAlgError:
-                kept = False
-                break
-            y = stats.output(row)
-            power = _block_powers(y, block)
-            steps[q] += 1
-            if _coherent(y, claimed, length):
-                kept = False
-                break
-        if not (
-            kept
-            and np.all(np.isfinite(row))
-            and _contrast_drop_z(initial[q], power) > _MIN_DROP_Z
-        ):
-            continue
+    target = np.zeros(p * length)
+    target[q * length] = 1.0
+    goal = cov @ target
+    row, power = rows[q], initial[q]
+    steps = 0
+    # a single channel has nothing to separate
+    for _ in range(REFINEMENT_STEPS if p > 1 else 0):
+        power = np.maximum(power, _POWER_FLOOR * max(float(power.mean()), np.finfo(float).tiny))
+        resid = row - target
+        resid_power = float(resid @ cov @ resid)
+        try:
+            row = np.linalg.solve(cov + stats.covariance(resid_power / power), goal)
+        except np.linalg.LinAlgError:
+            break
+        power = _block_powers(stats.output(row), block)
+        steps += 1
+    done = steps == REFINEMENT_STEPS and np.all(np.isfinite(row))
+    accepted = bool(done and _contrast_drop_z(initial[q], power) > _MIN_DROP_Z)
+    if accepted:
         rows[q] = row
-        accepted[q] = True
-        after[q] = _contrast(power)
-        claimed.append(y)
-    trace = RefinementTrace(
-        order=order,
-        accepted=tuple(accepted),
-        steps=tuple(steps),
-        contrast_before=before,
-        contrast_after=tuple(after),
-    )
-    return DemixFilterBank(rows.reshape(p, p, length)), trace
+        bank = DemixFilterBank(rows.reshape(p, p, length))
+    return bank, RefinementTrace(q, accepted, steps, before, _contrast(power) if accepted else before[q])

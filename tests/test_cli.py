@@ -207,6 +207,25 @@ def test_config_key_set_is_pinned(tmp_path):
     assert {section: set(echo[section]) for section in CONFIG_KEYS} == CONFIG_KEYS
 
 
+RUN_REPORT_KEYS = {
+    "sphering": {"matrix", "eigenvalues", "regularization_eps"},
+    "iva": {
+        "iterations", "converged", "initial_mean_update_norm", "final_mean_update_norm",
+        "iva_bank_discarded_lag_energy",
+    },
+    "refinement": {"output", "accepted", "steps", "contrast_before", "contrast_after"},
+}
+
+
+def test_run_report_key_set_is_pinned(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert set(report) == {"filter_length", *RUN_REPORT_KEYS}
+    assert {section: set(report[section]) for section in RUN_REPORT_KEYS} == RUN_REPORT_KEYS
+
+
 def n_source_config(path, n):
     write_config(
         path,

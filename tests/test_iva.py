@@ -229,6 +229,28 @@ class TestUpdateStep:
         assert err.value.iteration == 3
         assert err.value.bin_index == 0
 
+    @staticmethod
+    def frames_state(fb, norms=True):
+        outputs = frames_from(np.random.default_rng(7).standard_normal((2, 3, 8)))
+        return IterationState(fb, outputs, broadband_norms(outputs) if norms else None, [])
+
+    def test_rejects_bank_of_other_bin_count(self):
+        # a 1-bin bank would broadcast over the 8 bins and return an 8-bin bank
+        state = self.frames_state(FrequencyFilterBank.identity(1, 2))
+        with pytest.raises(ParameterError, match="1 bins x 2 channels"):
+            update_step(state, IvaConfig())
+
+    def test_rejects_frames_without_norms(self):
+        state = self.frames_state(FrequencyFilterBank.identity(8, 2), norms=False)
+        with pytest.raises(ParameterError, match=r"got shape \(\)"):
+            update_step(state, IvaConfig())
+
+    def test_rejects_negative_norms(self):
+        state = self.frames_state(FrequencyFilterBank.identity(8, 2))
+        state.norms = -state.norms
+        with pytest.raises(ParameterError, match="non-negative"):
+            update_step(state, IvaConfig())
+
 
 class TestMinimumDistortion:
     def test_diagonal_becomes_identity(self):

@@ -7,7 +7,7 @@ from convsep.iva import IvaConfig, run_iva
 from convsep.metrics import evaluate_separation
 from convsep.refine import LaggedStatistics, block_contrast, refine_bank
 from convsep.signal import highpass_dc_removal
-from convsep.simulate import build_scenario, respiratory_scenario
+from convsep.simulate import build_scenario, delayed_pair_scenario, respiratory_scenario
 from convsep.spectral import DemixFilterBank, center, stft
 from convsep.sphering import apply_sphering, compute_sphering, estimate_spatial_covariance
 
@@ -67,13 +67,22 @@ class TestBlockContrast:
         assert block_contrast(y, 8) < -1.0
 
 
+def bursty_mixture():
+    """Two sources gated on and off per 40-sample block, mixed 1 : 0.3."""
+    rng = np.random.default_rng(2)
+    gate = (rng.uniform(size=(2, 100)) < 0.3) + 0.01
+    return np.array([[1.0, 0.3], [0.3, 1.0]]) @ (
+        rng.standard_normal((2, 4000)) * np.repeat(gate, 40, axis=1)
+    )
+
+
 class TestRefineBank:
     def test_single_channel_unchanged(self):
         rng = np.random.default_rng(22)
         bank = DemixFilterBank(rng.standard_normal((1, 1, 4)))
         refined, trace = refine_bank(bank, rng.standard_normal((1, 200)))
         assert refined is bank
-        assert trace.steps == ()
+        assert trace.steps == 0 and not trace.accepted
 
     def test_deterministic_and_ties_keep_index_order(self):
         # a signal and its time reversal: equal block contrasts up to
@@ -85,18 +94,28 @@ class TestRefineBank:
             first, trace = refine_bank(bank, x)
             second, _ = refine_bank(bank, x)
             assert first.coeffs.tobytes() == second.coeffs.tobytes()
-            assert trace.order == (0, 1)
+            assert trace.output == 0
+
+    def test_row_the_steps_leave_in_place_is_not_accepted(self):
+        # the channel-target row is a fixed point of the step: the refined
+        # row differs from it by rounding only, which is no contrast drop
+        x = bursty_mixture()
+        bank = DemixFilterBank.identity(2, 4)
+        refined, trace = refine_bank(bank, x)
+        assert trace.output == 0 and trace.steps == 5 and not trace.accepted
+        assert trace.contrast_after == trace.contrast_before[0]
+        assert refined is bank
 
     def test_singular_step_keeps_iva_row(self, monkeypatch):
-        # two mixed bursty sources: output 0 is refined first and accepted
-        rng = np.random.default_rng(2)
-        gate = (rng.uniform(size=(2, 100)) < 0.3) + 0.01
-        x = np.array([[1.0, 0.3], [0.3, 1.0]]) @ (
-            rng.standard_normal((2, 4000)) * np.repeat(gate, 40, axis=1)
-        )
-        bank = DemixFilterBank.identity(2, 4)
-        _, trace = refine_bank(bank, x)
-        assert trace.order[0] == 0 and trace.accepted[0] and trace.steps[0] == 5
+        # output 0 reads source 0 through 0.3 of channel 1; the steps move
+        # it back to channel 0, and that row is accepted
+        x = bursty_mixture()
+        coeffs = np.zeros((2, 2, 4))
+        coeffs[:, :, 0] = [[1.0, 0.3], [0.3, 1.0]]
+        bank = DemixFilterBank(coeffs)
+        moved, trace = refine_bank(bank, x)
+        assert trace.output == 0 and trace.accepted and trace.steps == 5
+        assert np.abs(moved.coeffs[0] - bank.coeffs[0]).max() > 0.1
 
         solve, calls = np.linalg.solve, []
 
@@ -108,24 +127,34 @@ class TestRefineBank:
 
         monkeypatch.setattr(np.linalg, "solve", singular_second_step)
         refined, trace = refine_bank(bank, x)
-        assert len(calls) > 2  # the next output is still refined
-        assert not trace.accepted[0] and trace.steps[0] == 1
-        assert trace.contrast_after[0] == trace.contrast_before[0]
-        np.testing.assert_array_equal(refined.coeffs[0], bank.coeffs[0])
+        assert len(calls) == 2  # the steps stop at the failed solve
+        assert not trace.accepted and trace.steps == 1
+        assert trace.contrast_after == trace.contrast_before[0]
+        assert refined is bank
 
 
-def test_refinement_raises_ecg_output_sir():
-    """The time-domain stage lifts the ECG output far above the IVA bank's
-    block-edge ceiling on a short respiratory recording."""
-    scenario = respiratory_scenario(seed=0, duration_s=12.0)
+def iva_then_refine(scenario, cfg):
+    """The pipeline's stages up to the refinement, on one simulated mixture."""
     sim = build_scenario(scenario)
-    cfg = PipelineConfig(filter_length=32, dc_cutoff_hz=15.0, iva=IvaConfig(max_iterations=60))
     prepared = highpass_dc_removal(sim.mixed, cfg.dc_cutoff_hz)
     transform = compute_sphering(estimate_spatial_covariance(prepared))
     sphered = apply_sphering(transform, prepared)
     frames = center(stft(sphered, cfg.n_bins, cfg.filter_length, "zeropad"))
     iva_bank, _ = run_iva(frames, cfg.iva)
-    refined, trace = refine_bank(iva_bank, sphered.data)
+    return sim, transform, iva_bank, *refine_bank(iva_bank, sphered.data)
+
+
+@pytest.fixture(scope="module")
+def short_respiratory():
+    scenario = respiratory_scenario(seed=0, duration_s=12.0)
+    cfg = PipelineConfig(filter_length=32, dc_cutoff_hz=15.0, iva=IvaConfig(max_iterations=60))
+    return scenario, cfg, *iva_then_refine(scenario, cfg)
+
+
+def test_refinement_raises_ecg_output_sir(short_respiratory):
+    """The time-domain stage lifts the ECG output far above the IVA bank's
+    block-edge ceiling on a short respiratory recording."""
+    scenario, cfg, sim, transform, iva_bank, refined, trace = short_respiratory
 
     def ecg_sir(bank):
         report = evaluate_separation(bank, transform, sim.images, dc_cutoff_hz=cfg.dc_cutoff_hz)
@@ -133,5 +162,31 @@ def test_refinement_raises_ecg_output_sir():
         return report.sir_db[report.assignment.index(ecg)]
 
     before, after = ecg_sir(iva_bank), ecg_sir(refined)
-    assert any(trace.accepted)
+    assert trace.accepted
     assert after >= before + 30.0, (before, after)
+
+
+def test_only_the_most_nonstationary_output_is_refined(short_respiratory):
+    *_, iva_bank, refined, trace = short_respiratory
+    assert trace.output == int(np.argmin(trace.contrast_before))
+    assert trace.accepted and trace.contrast_after < trace.contrast_before[trace.output]
+    for q in range(iva_bank.n_channels):
+        if q != trace.output:
+            assert refined.coeffs[q].tobytes() == iva_bank.coeffs[q].tobytes()
+
+
+@pytest.mark.parametrize("filter_length", [1, 64])
+def test_delayed_pair_keeps_the_iva_bank(filter_length):
+    """At the pair's two filter lengths in criterion 2, the refined output
+    comes out more stationary than the IVA output, so it is not accepted."""
+    cfg = PipelineConfig(
+        filter_length=filter_length,
+        dc_cutoff_hz=15.0,
+        iva=IvaConfig(step_size=0.02, max_iterations=40),
+    )
+    scenario = delayed_pair_scenario(seed=0, duration_s=20.0)
+    *_, iva_bank, refined, trace = iva_then_refine(scenario, cfg)
+    assert trace.output == int(np.argmin(trace.contrast_before))
+    assert trace.steps == 5 and not trace.accepted
+    assert trace.contrast_after == trace.contrast_before[trace.output]
+    assert refined is iva_bank
