@@ -44,6 +44,7 @@ from .signal import (
     write_raw,
 )
 from .simulate import (
+    SAMPLE_INTERVAL_S,
     SimScenario,
     build_scenario,
     delayed_pair_scenario,
@@ -137,7 +138,7 @@ def _section_values(config: dict, section: str) -> dict:
     return resolved
 
 
-def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig, dict]:
+def _resolve(config: dict, args) -> tuple[Path, SimScenario, PipelineConfig, dict]:
     """Merge config file and CLI overrides into fully explicit settings."""
     unknown = sorted(set(config) - _TOP_LEVEL_KEYS)
     if unknown:
@@ -163,7 +164,7 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     iva_cfg = IvaConfig(**sections["iva"])
     pipeline_cfg = PipelineConfig(**sections["stft"], **sections["preprocess"], iva=iva_cfg)
     # the highpass's and the separation's limits on the simulated signal
-    nyquist = 0.5 / scenario.sample_interval_s
+    nyquist = 0.5 / SAMPLE_INTERVAL_S
     if not (pipeline_cfg.dc_cutoff_hz or 0.0) < nyquist:
         raise ParameterError(f"preprocess.dc_cutoff_hz must be below Nyquist, {nyquist} Hz")
     two_frames = 3 * pipeline_cfg.filter_length
@@ -183,16 +184,14 @@ def _resolve(config: dict, args) -> tuple[int, Path, SimScenario, PipelineConfig
     for section, fields in CONFIG_FIELDS.items():
         echo[section] = {key: getattr(sources[section], key) for key in fields if key != "kind"}
     echo["scenario"]["kind"] = kind
-    return seed, out_dir, scenario, pipeline_cfg, echo
+    return out_dir, scenario, pipeline_cfg, echo
 
 
 def cmd_simulate(out_dir: Path, scenario: SimScenario) -> None:
     sim = build_scenario(scenario)
     write_raw(sim.mixed, out_dir / "mixed.raw", out_dir / "mixed.json")
-    sources_ts = TimeSeries(
-        sim.sources.signals,
-        SignalMetadata(scenario.sample_interval_s, sim.sources.kinds),
-    )
+    sources_meta = SignalMetadata(SAMPLE_INTERVAL_S, sim.sources.kinds)
+    sources_ts = TimeSeries(sim.sources.signals, sources_meta)
     write_raw(sources_ts, out_dir / "sources.raw", out_dir / "sources.json")
     for q, image in enumerate(sim.images):
         write_raw(image, out_dir / f"image_src{q + 1}.raw", out_dir / f"image_src{q + 1}.json")
@@ -200,7 +199,7 @@ def cmd_simulate(out_dir: Path, scenario: SimScenario) -> None:
     kernel_ts = TimeSeries(
         kernels.reshape(-1, kernels.shape[2]),
         SignalMetadata(
-            scenario.sample_interval_s,
+            SAMPLE_INTERVAL_S,
             tuple(
                 f"src{q + 1}->sensor{p + 1}"
                 for q in range(kernels.shape[0])
@@ -268,9 +267,10 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
 
 def _run(args) -> int:
     config = {} if args.config is None else read_json(args.config, "config")
-    seed, out_dir, scenario, cfg, echo = _resolve(config, args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, scenario, cfg, echo = _resolve(config, args)
+    # separate and evaluate read their inputs from out_dir, so only simulate makes it
     if args.command in ("simulate", "pipeline"):
+        out_dir.mkdir(parents=True, exist_ok=True)
         cmd_simulate(out_dir, scenario)
     if args.command in ("separate", "pipeline"):
         cmd_separate(out_dir, cfg)

@@ -13,9 +13,10 @@ iteration is one pass over that mixture spectrum X in chunks of blocks of
 about _CHUNK_BYTES: per chunk, Y = W X, its broadband norms, the score and
 the bracket sum, so no outputs array of the frames' size is ever held. The
 chunks bound memory only; they buy no speed.
-The score Y / ||Y|| does not depend on scale, so its guard is an absolute
-floor that only keeps a silent block's 0/0 at 0. When every kept bin
-is exactly real (L = 1: DC and Nyquist only) the loop runs in float64.
+The score Y / ||Y|| does not depend on scale, so its guard _NORM_GUARD is
+an absolute floor that only keeps a silent block's 0/0 at 0. When every
+kept bin is exactly real (L = 1: DC and Nyquist only) the loop runs in
+float64.
 forward_pass, broadband_norms and score are the full-spectrum reference
 steps on SpectralFrames; update_step and minimum_distortion serve both.
 """
@@ -52,6 +53,10 @@ _MAX_CONDITION = 1e14
 # at L = 64 on 2 cores, but held outputs the size of the frames; reused
 # chunk buffers ran no faster than fresh temporaries)
 _CHUNK_BYTES = 1 << 19
+# added to every broadband norm in update_step: the smallest normal float,
+# so a silent block's score is 0 / tiny = 0 and any other block's is
+# bounded (|Y_v| / ||Y|| <= sqrt(M)), and the score stays scale-invariant
+_NORM_GUARD = np.finfo(np.float64).tiny
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
 _SYMMETRY_RTOL = 1e-10
@@ -59,19 +64,15 @@ _SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class IvaConfig:
-    """Step size, iteration budget, stopping rule, and score guard.
+    """Step size, iteration budget, and stopping rule.
 
     convergence_tol is relative: the loop stops once the mean update norm
     falls below convergence_tol times its first-iteration value.
-    norm_guard=None resolves to the smallest normal float: a silent
-    block's score is then 0 / tiny = 0, and any other block's is bounded
-    (|Y_v| / ||Y|| <= sqrt(M)), so the score stays scale-invariant.
     """
 
     step_size: float = 0.003
     max_iterations: int = 200
     convergence_tol: float = 1e-6
-    norm_guard: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.step_size <= 1:
@@ -82,8 +83,6 @@ class IvaConfig:
             raise ParameterError(
                 f"convergence_tol must be finite and >= 0, got {self.convergence_tol}"
             )
-        if self.norm_guard is not None and not 0 < self.norm_guard < np.inf:
-            raise ParameterError(f"norm_guard must be finite and positive, got {self.norm_guard}")
 
 
 @dataclass
@@ -163,7 +162,7 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     chunks of about _CHUNK_BYTES, which bound the temporaries, not the time.
     Given the mixture X, each chunk's outputs Y = W X and their broadband
     norms are formed there too, with the half spectrum's interior bins
-    weighted 2. The guard of norm_guard=None is the smallest normal float.
+    weighted 2. Every norm is guarded by _NORM_GUARD, the smallest normal float.
     Returns the new bank plus the bin-weighted mean and the max Frobenius
     norm of the bracketed term over bins (the convergence-trace entries).
     Raises ParameterError when the bank's bins or channels differ from the
@@ -190,7 +189,6 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
         weights[1:-1] = 2.0
     scale = weights / weights.sum()
     dtype = np.result_type(source, response)
-    guard = np.finfo(float).tiny if cfg.norm_guard is None else cfg.norm_guard
     step = max(1, _CHUNK_BYTES // (n_bins * channels * np.dtype(dtype).itemsize))
     with np.errstate(over="ignore", invalid="ignore"):
         # conj(Phi) Y^T summed over blocks, conjugated once at the end
@@ -206,7 +204,7 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
                 if np.iscomplexobj(y):
                     power += np.square(y.imag)
                 norms = np.sqrt(scale @ power.reshape(n_bins, -1)).reshape(y.shape[1:])
-            phi_conj = y * (1.0 / (norms + guard))
+            phi_conj = y * (1.0 / (norms + _NORM_GUARD))
             if np.iscomplexobj(phi_conj):
                 np.conjugate(phi_conj, out=phi_conj)
             cross += phi_conj @ y.transpose(0, 2, 1)

@@ -25,6 +25,7 @@ from .sphering import SpheringTransform, apply_sphering
 
 __all__ = [
     "DB_CAP",
+    "ENVELOPE_WINDOW_S",
     "MAX_ASSIGNMENT_CHANNELS",
     "SeparationReport",
     "project_images",
@@ -41,6 +42,8 @@ __all__ = [
 
 DB_CAP = 100.0
 MAX_ASSIGNMENT_CHANNELS = 6
+# width of moving_rms's centered window
+ENVELOPE_WINDOW_S = 0.05
 # Samples formatted per write in write_envelopes_csv. A block's Python floats
 # and strings stay well under moving_rms's temporaries, so the writer's peak
 # memory is that of moving_rms; formatting the whole file at once more than
@@ -258,11 +261,9 @@ def physical_path_length(
     return velocity_m_s * filter_length * sample_interval_s
 
 
-def moving_rms(ts: TimeSeries, window_s: float = 0.05) -> np.ndarray:
-    """Centered moving-RMS envelope per channel, (channels, samples)."""
-    if not window_s > 0:
-        raise ParameterError(f"window must be positive, got {window_s}")
-    half = max(1, int(round(window_s / ts.meta.sample_interval_s))) // 2
+def moving_rms(ts: TimeSeries) -> np.ndarray:
+    """Centered ENVELOPE_WINDOW_S moving-RMS envelope per channel, (channels, samples)."""
+    half = max(1, int(round(ENVELOPE_WINDOW_S / ts.meta.sample_interval_s))) // 2
     n = ts.n_samples
     # sums[:, half + k] is the sum of the first k squares for k in [-half, n + half]:
     # zero for k <= 0 and the total for k >= n

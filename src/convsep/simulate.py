@@ -55,6 +55,17 @@ ECG_WAVE_PARTS = ((-0.25, -18.0, 5.0), (1.0, 0.0, 7.0), (-0.35, 16.0, 5.0), (0.1
 ECG_PERIOD_JITTER = 0.03
 # relative Gaussian jitter of each motor unit inter-spike interval
 FIRING_JITTER = 0.1
+# the recording every scenario shares: sampling, mixing kernel support,
+# fiber conduction velocity, breathing cycle and heart rate
+SAMPLE_INTERVAL_S = 0.976e-3
+KERNEL_LENGTH = 16
+CONDUCTION_VELOCITY_M_S = 4.0
+BREATH_PERIOD_S = 4.0
+ECG_BPM = 70.0
+# RMS of each source kind's sensor image, EMG being the reference level
+EMG_GAIN = 1.0
+ECG_GAIN = 1000.0
+NOISE_GAIN = 0.1
 
 
 def stream_rng(seed: int, label: str) -> np.random.Generator:
@@ -65,11 +76,10 @@ def stream_rng(seed: int, label: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SourceSet:
-    """Source signals (sources, samples) with their kinds and the seed used."""
+    """Source signals (sources, samples) with their kinds and sample interval."""
 
     signals: np.ndarray
     kinds: tuple[str, ...]
-    seed: int
     sample_interval_s: float
 
     def __post_init__(self):
@@ -121,24 +131,17 @@ class MixingSystem:
 class SimScenario:
     """Complete description of one synthetic recording session.
 
-    There are as many sensors as sources (square demixing); gains are amplitude
-    ratios of each source's sensor image against the EMG reference level.
-    Every float value, in tuples too, must be finite.
+    There are as many sensors as sources (square demixing). The sampling
+    interval, kernel length, conduction velocity, breathing period, heart
+    rate and per-kind image gains are this module's constants, the same for
+    every scenario. Every float value, in tuples too, must be finite.
     """
 
     n_sources: int = 4
-    kernel_length: int = 16
     duration_s: float = 60.0
-    sample_interval_s: float = 0.976e-3
     source_kinds: tuple[str, ...] = ("emg_inspiratory", "emg_expiratory", "ecg", "noise")
     firing_rates_hz: tuple[float, ...] = (18.0, 18.0, 0.0, 0.0)
     source_depths_m: tuple[float, ...] = (0.010, 0.012, 0.020, 0.015)
-    breath_period_s: float = 4.0
-    ecg_bpm: float = 70.0
-    emg_gain: float = 1.0
-    ecg_gain: float = 1000.0
-    noise_gain: float = 0.1
-    conduction_velocity_m_s: float = 4.0
     sensor_spacing_m: float = 0.015
     lateral_attenuation: float = 1.5
     end_of_fiber_amp: float = 0.3
@@ -168,18 +171,6 @@ class SimScenario:
                 raise ParameterError(f"unknown source kind {kind!r} in source_kinds")
         if self.mixing not in MIXING_KINDS:
             raise ParameterError(f"unknown mixing kind {self.mixing!r}")
-        if self.kernel_length < 8:
-            raise ParameterError(f"kernel_length must be >= 8, got {self.kernel_length}")
-        if not self.sample_interval_s > 0 or not self.duration_s > 0:
-            raise ParameterError("duration_s and sample_interval_s must be positive")
-        if not self.breath_period_s > 0:
-            raise ParameterError(f"breath_period_s must be positive, got {self.breath_period_s}")
-        if self.ecg_gain < 0:
-            raise ParameterError(f"ecg_gain must be >= 0, got {self.ecg_gain}")
-        if not self.ecg_bpm > 0:
-            raise ParameterError(f"ecg_bpm must be positive, got {self.ecg_bpm}")
-        if not self.conduction_velocity_m_s > 0:
-            raise ParameterError("conduction_velocity_m_s must be positive")
         if self.sensor_spacing_m < 0:
             raise ParameterError(f"sensor_spacing_m must be >= 0, got {self.sensor_spacing_m}")
         muap_sources = [
@@ -188,25 +179,22 @@ class SimScenario:
         if self.mixing == "convolutive" and muap_sources:
             # the farthest sensor from any MUAP source, as _source_kernels places them
             reach = max(max(q, self.n_sources - 1 - q) for q in muap_sources)
-            delay = reach * self.sensor_spacing_m / (
-                self.conduction_velocity_m_s * self.sample_interval_s
-            )
-            if MUAP_BASE_LAG + delay > self.kernel_length - 1:
+            delay = reach * self.sensor_spacing_m / (CONDUCTION_VELOCITY_M_S * SAMPLE_INTERVAL_S)
+            if MUAP_BASE_LAG + delay > KERNEL_LENGTH - 1:
                 raise ParameterError(
-                    f"conduction_velocity_m_s {self.conduction_velocity_m_s} gives a propagation "
-                    f"delay of {delay:.1f} samples, which does not fit a "
-                    f"{self.kernel_length}-tap kernel (kernel_length)"
+                    f"sensor_spacing_m {self.sensor_spacing_m} gives a propagation delay of "
+                    f"{delay:.1f} samples, which does not fit a {KERNEL_LENGTH}-tap kernel"
                 )
         if any(r < 0 for r in self.firing_rates_hz):
             raise ParameterError("firing_rates_hz must be >= 0")
         if any(d <= 0 for d in self.source_depths_m):
             raise ParameterError("source_depths_m must be positive")
-        if self.n_samples < self.kernel_length:
-            raise ParameterError("duration_s too short for one kernel_length")
+        if self.n_samples < KERNEL_LENGTH:
+            raise ParameterError(f"duration_s too short for one {KERNEL_LENGTH}-tap kernel")
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.duration_s / self.sample_interval_s))
+        return int(round(self.duration_s / SAMPLE_INTERVAL_S))
 
 
 class Simulation(NamedTuple):
@@ -365,24 +353,22 @@ def _source_signal(sc: SimScenario, q: int) -> np.ndarray:
     n = sc.n_samples
     rng = stream_rng(sc.seed, f"source/{q}")
     if kind == "emg_inspiratory":
-        env = cyclic_envelope(n, sc.sample_interval_s, sc.breath_period_s, 0.0, 0.45)
-        return generate_impulse_train(sc.firing_rates_hz[q], env, n, sc.sample_interval_s, rng)
+        env = cyclic_envelope(n, SAMPLE_INTERVAL_S, BREATH_PERIOD_S, 0.0, 0.45)
+        return generate_impulse_train(sc.firing_rates_hz[q], env, n, SAMPLE_INTERVAL_S, rng)
     if kind == "emg_expiratory":
-        env = cyclic_envelope(n, sc.sample_interval_s, sc.breath_period_s, 0.5, 0.95)
-        return generate_impulse_train(sc.firing_rates_hz[q], env, n, sc.sample_interval_s, rng)
+        env = cyclic_envelope(n, SAMPLE_INTERVAL_S, BREATH_PERIOD_S, 0.5, 0.95)
+        return generate_impulse_train(sc.firing_rates_hz[q], env, n, SAMPLE_INTERVAL_S, rng)
     if kind == "emg":
-        return generate_impulse_train(
-            sc.firing_rates_hz[q], np.ones(n), n, sc.sample_interval_s, rng
-        )
+        return generate_impulse_train(sc.firing_rates_hz[q], np.ones(n), n, SAMPLE_INTERVAL_S, rng)
     if kind == "ecg":
-        return generate_ecg_interferer(sc.ecg_bpm, n, sc.sample_interval_s, rng)
+        return generate_ecg_interferer(ECG_BPM, n, SAMPLE_INTERVAL_S, rng)
     return rng.standard_normal(n)
 
 
 def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.ndarray:
     """Kernels of source q toward every sensor, (sensors, kernel_length)."""
     kind = sc.source_kinds[q]
-    p_count, l_mix = sc.n_sources, sc.kernel_length
+    p_count, l_mix = sc.n_sources, KERNEL_LENGTH
     out = np.zeros((p_count, l_mix))
     own = q
     for p in range(p_count):
@@ -409,8 +395,8 @@ def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.nda
                 prop, eof = muap_kernel_components(
                     depth_eff,
                     offset,
-                    sc.conduction_velocity_m_s,
-                    sc.sample_interval_s,
+                    CONDUCTION_VELOCITY_M_S,
+                    SAMPLE_INTERVAL_S,
                     l_mix,
                     amplitude=jitter,
                     end_of_fiber_amp=sc.end_of_fiber_amp,
@@ -421,19 +407,15 @@ def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.nda
     return out
 
 
-def _target_gain(sc: SimScenario, kind: str) -> float:
-    if kind == "ecg":
-        return sc.ecg_gain
-    if kind == "noise":
-        return sc.noise_gain
-    return sc.emg_gain
+def _target_gain(kind: str) -> float:
+    return {"ecg": ECG_GAIN, "noise": NOISE_GAIN}.get(kind, EMG_GAIN)
 
 
 def build_scenario(sc: SimScenario) -> Simulation:
     """Deterministic synthesis for a fixed seed: sources, kernels, unit-gain
     images scaled to each kind's target RMS, and their sum as the mixture."""
     signals = np.stack([_source_signal(sc, q) for q in range(sc.n_sources)])
-    sources = SourceSet(signals, sc.source_kinds, sc.seed, sc.sample_interval_s)
+    sources = SourceSet(signals, sc.source_kinds, SAMPLE_INTERVAL_S)
 
     kernel_rng = stream_rng(sc.seed, "kernels")
     kernels = np.stack([_source_kernels(sc, q, kernel_rng) for q in range(sc.n_sources)])
@@ -442,7 +424,7 @@ def build_scenario(sc: SimScenario) -> Simulation:
     images = mix(sources, system, np.ones(sc.n_sources))[1]
     for q, img in enumerate(images):
         rms = float(np.sqrt(np.mean(img.data**2)))
-        gain = _target_gain(sc, sc.source_kinds[q]) / rms if rms > 0 else 1.0
+        gain = _target_gain(sc.source_kinds[q]) / rms if rms > 0 else 1.0
         images[q] = img.with_data(gain * img.data)
     mixed = images[0].with_data(sum(img.data for img in images))
     return Simulation(mixed, sources, system, images)
@@ -467,8 +449,6 @@ def delayed_pair_scenario(seed: int = 0, **overrides) -> SimScenario:
         lateral_attenuation=0.41,
         end_of_fiber_amp=0.1,
         kernel_gain_jitter=0.15,
-        noise_gain=0.0,
-        ecg_gain=0.0,
         mixing="convolutive",
     )
     params.update(overrides)

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 from .signal import (
-    SignalMetadata,
     TimeSeries,
     _frozen_array,
     _json_int,
@@ -66,12 +65,9 @@ def make_window(window_id: str, n_bins: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralFrames:
-    """Complex STFT data, (channels, blocks, bins), with the framing used."""
+    """Complex STFT data, (channels, blocks, bins)."""
 
     data: np.ndarray
-    block_hop: int
-    window_id: str
-    meta: SignalMetadata
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.complex128)
@@ -82,10 +78,6 @@ class SpectralFrames:
             raise ParameterError(f"need at least one channel and one block, got {arr.shape}")
         if not _is_power_of_two(bins_):
             raise ParameterError(f"bin count must be a power of two, got {bins_}")
-        if self.block_hop < 1:
-            raise ParameterError(f"block_hop must be >= 1, got {self.block_hop}")
-        if self.window_id not in WINDOW_IDS:
-            raise ParameterError(f"unknown window {self.window_id!r}")
         object.__setattr__(self, "data", _frozen_array(arr, "frames"))
 
     @property
@@ -101,7 +93,7 @@ class SpectralFrames:
         return self.data.shape[2]
 
     def with_data(self, data: np.ndarray) -> "SpectralFrames":
-        return SpectralFrames(data, self.block_hop, self.window_id, self.meta)
+        return SpectralFrames(data)
 
 
 @dataclass(frozen=True)
@@ -187,7 +179,7 @@ def stft(ts: TimeSeries, n_bins: int, hop: int, window_id: str = "zeropad") -> S
     np.fft.rfft(blocks, n=n_bins, axis=2, out=frames[:, :, : half + 1])
     # real input: bin M - v is the conjugate of bin v
     np.conjugate(frames[:, :, half - 1 : 0 : -1], out=frames[:, :, half + 1 :])
-    return SpectralFrames(frames, hop, window_id, ts.meta)
+    return SpectralFrames(frames)
 
 
 def center(frames: SpectralFrames) -> SpectralFrames:

@@ -12,6 +12,8 @@ import convsep
 from convsep.cli import CONFIG_FIELDS, main
 from convsep.spectral import load_filter_bank
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def write_config(path, **overrides):
     config = {
@@ -82,6 +84,16 @@ class TestSimulateCommand:
             ({"preprocess": {"sphering": "false"}}, "sphering"),
             ({"scenario": {"seed": 3}}, "scenario.seed"),
             ({"scenario": {"n_sensors": 4}}, "scenario.n_sensors"),
+            # settings that are constants now, at the values older echoes wrote
+            ({"scenario": {"kernel_length": 16}}, "scenario.kernel_length"),
+            ({"scenario": {"sample_interval_s": 0.976e-3}}, "scenario.sample_interval_s"),
+            ({"scenario": {"breath_period_s": 4.0}}, "scenario.breath_period_s"),
+            ({"scenario": {"ecg_bpm": 70.0}}, "scenario.ecg_bpm"),
+            ({"scenario": {"emg_gain": 1.0}}, "scenario.emg_gain"),
+            ({"scenario": {"ecg_gain": 1000.0}}, "scenario.ecg_gain"),
+            ({"scenario": {"noise_gain": 0.1}}, "scenario.noise_gain"),
+            ({"scenario": {"conduction_velocity_m_s": 4.0}}, "scenario.conduction_velocity_m_s"),
+            ({"iva": {"norm_guard": None}}, "iva.norm_guard"),
         ],
     )
     def test_bad_config_key_exits_2(self, tmp_path, capsys, overrides, key):
@@ -106,6 +118,7 @@ class TestSimulateCommand:
             ({"preprocess": {"dc_cutoff_hz": True}}, "dc_cutoff_hz"),
             ({"scenario": {"source_kinds": 3}}, "scenario.source_kinds"),
             ({"scenario": {"kind": ["x"]}}, "scenario.kind"),
+            # settings that are constants now: rejected by name whatever the value
             ({"scenario": {"kernel_length": 16.5}}, "scenario.kernel_length"),
             ({"scenario": {"emg_gain": "x"}}, "scenario.emg_gain"),
             ({"scenario": {"ecg_bpm": True}}, "scenario.ecg_bpm"),
@@ -136,6 +149,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_readme_full_config_runs(self, tmp_path):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("A full config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        config = json.loads(block)
+        config["out_dir"] = str(tmp_path / "out")
+        config["scenario"]["duration_s"] = 2.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg)]) == 0
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -186,13 +209,12 @@ class TestSimulateCommand:
 # Every config key; adding, renaming or removing one must be deliberate.
 CONFIG_KEYS = {
     "scenario": {
-        "kind", "n_sources", "kernel_length", "duration_s", "sample_interval_s",
-        "source_kinds", "firing_rates_hz", "source_depths_m", "breath_period_s", "ecg_bpm",
-        "emg_gain", "ecg_gain", "noise_gain", "conduction_velocity_m_s", "sensor_spacing_m",
-        "lateral_attenuation", "end_of_fiber_amp", "kernel_gain_jitter", "mixing",
+        "kind", "n_sources", "duration_s", "source_kinds", "firing_rates_hz",
+        "source_depths_m", "sensor_spacing_m", "lateral_attenuation", "end_of_fiber_amp",
+        "kernel_gain_jitter", "mixing",
     },
     "stft": {"filter_length"},
-    "iva": {"step_size", "max_iterations", "convergence_tol", "norm_guard"},
+    "iva": {"step_size", "max_iterations", "convergence_tol"},
     "preprocess": {"dc_cutoff_hz", "sphering"},
 }
 
@@ -265,6 +287,17 @@ class TestSourceCountLimit:
         n_source_config(cfg, 6)
         assert main(["pipeline", "--config", str(cfg)]) == 0
         assert len(json.loads((tmp_path / "out" / "report.json").read_text())["sir_db"]) == 6
+
+
+@pytest.mark.parametrize(
+    "command, message", [("separate", "no input signal"), ("evaluate", "no separation artifacts")]
+)
+def test_missing_inputs_leave_no_out_dir(tmp_path, capsys, command, message):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "nothere")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "nothere").exists()
 
 
 class TestSeparateCommand:

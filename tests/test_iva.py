@@ -29,9 +29,8 @@ from convsep.spectral import (
 )
 
 
-def frames_from(data, hop=1, window_id="rect"):
-    meta = SignalMetadata(1e-3, tuple(f"ch{p + 1}" for p in range(data.shape[0])))
-    return SpectralFrames(np.asarray(data, dtype=complex), hop, window_id, meta)
+def frames_from(data):
+    return SpectralFrames(np.asarray(data, dtype=complex))
 
 
 def mixture_frames(filter_length, n_samples=6000, seed=13):
@@ -78,7 +77,6 @@ class TestIvaConfig:
         cfg = IvaConfig()
         assert 0 < cfg.step_size <= 1
         assert cfg.max_iterations >= 1
-        assert cfg.norm_guard is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -87,15 +85,31 @@ class TestIvaConfig:
             {"step_size": 1.5},
             {"max_iterations": 0},
             {"convergence_tol": -1e-3},
-            {"norm_guard": 0.0},
             {"convergence_tol": float("nan")},
             {"convergence_tol": float("inf")},
-            {"norm_guard": float("inf")},
+            {"step_size": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             IvaConfig(**kwargs)
+
+
+FRAMES_2CH = frames_from(np.ones((2, 3, 4)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: score(FRAMES_2CH, np.ones((2, 3)), 0.0), "norms shape"),
+        (lambda: score(FRAMES_2CH, -np.ones((3, 2)), 0.0), "non-negative"),
+        (lambda: run_iva(frames_from(np.ones((2, 3, 1))), IvaConfig()), "even"),
+    ],
+    ids=["score-norms-shape", "score-negative-norms", "run_iva-odd-bins"],
+)
+def test_rejects_malformed_arguments(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
 
 
 class TestForwardPass:
@@ -205,7 +219,7 @@ class TestUpdateStep:
         np.testing.assert_allclose(norms, np.ones((2, 2)), atol=1e-15)
         fb = FrequencyFilterBank(np.array([[[0.7, 0.2], [-0.1, 1.3]]], dtype=complex))
         state = IterationState(fb, outputs, norms, [])
-        new_fb, mean_norm, _ = update_step(state, IvaConfig(step_size=0.5, norm_guard=1e-300))
+        new_fb, mean_norm, _ = update_step(state, IvaConfig(step_size=0.5))
         np.testing.assert_allclose(new_fb.response, fb.response, atol=1e-12)
         assert mean_norm < 1e-12
 
@@ -216,7 +230,7 @@ class TestUpdateStep:
         fb = FrequencyFilterBank(np.full((1, 1, 1), 1.0, dtype=complex))
         state = IterationState(fb, outputs, broadband_norms(outputs), [])
         mu = 0.3
-        new_fb, _, _ = update_step(state, IvaConfig(step_size=mu, norm_guard=1e-300))
+        new_fb, _, _ = update_step(state, IvaConfig(step_size=mu))
         np.testing.assert_allclose(new_fb.response[0, 0, 0], 1.0 - mu, atol=1e-12)
 
     def test_divergence_names_iteration_and_bin(self):
@@ -225,7 +239,7 @@ class TestUpdateStep:
         fb = FrequencyFilterBank(np.full((1, 1, 1), 1e308, dtype=complex))
         state = IterationState(fb, outputs, broadband_norms(outputs), [0.1, 0.2])
         with pytest.raises(NumericalDivergenceError) as err:
-            update_step(state, IvaConfig(step_size=1.0, norm_guard=1e-300))
+            update_step(state, IvaConfig(step_size=1.0))
         assert err.value.iteration == 3
         assert err.value.bin_index == 0
 
@@ -323,7 +337,7 @@ class TestRunIva:
 
         def iterate(fr, n_iter=5):
             fb = FrequencyFilterBank.identity(fr.n_bins, fr.n_channels)
-            cfg = IvaConfig(step_size=0.01, norm_guard=1e-14)
+            cfg = IvaConfig(step_size=0.01)
             for _ in range(n_iter):
                 outputs = forward_pass(fb, fr)
                 state = IterationState(fb, outputs, broadband_norms(outputs), [])

@@ -9,6 +9,7 @@ from convsep.errors import ParameterError, UndefinedSirError
 from convsep.iva import IvaConfig
 from convsep.metrics import (
     DB_CAP,
+    ENVELOPE_WINDOW_S,
     SeparationReport,
     evaluate_separation,
     input_sir,
@@ -132,6 +133,47 @@ class TestSir:
         # the (source, output) powers need no squared copy of the contributions
         contrib = np.random.default_rng(9).standard_normal((4, 4, 61_475))
         assert traced_peak(sir, contrib, 64) <= 0.1 * contrib.nbytes
+
+
+IDENTITY_BANK = DemixFilterBank.identity(2, 4)
+THREE_CHANNEL_IMAGE = TimeSeries(np.ones((3, 8)), SignalMetadata(1e-3, ("a", "b", "c")))
+# output 2 receives nothing from any source, output 1 something from both
+SILENT_OUTPUT = np.zeros((2, 2, 8))
+SILENT_OUTPUT[:, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda: project_images(IDENTITY_BANK, SpheringTransform.identity(2), []),
+            ParameterError,
+            "at least one",
+        ),
+        (
+            lambda: project_images(
+                IDENTITY_BANK, SpheringTransform.identity(2), [THREE_CHANNEL_IMAGE]
+            ),
+            ParameterError,
+            "3 channels",
+        ),
+        (lambda: sir(np.ones((2, 8))), ParameterError, "sources, outputs, samples"),
+        (lambda: sir(np.ones((2, 3, 8))), ParameterError, "sources, outputs, samples"),
+        (
+            lambda: SeparationReport((0, 1), (1.0,), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0)),
+            ParameterError,
+            "sir_db must have 2",
+        ),
+        (lambda: sir(SILENT_OUTPUT), UndefinedSirError, "both signal and interference"),
+    ],
+    ids=[
+        "project-no-images", "project-channel-mismatch", "sir-2d", "sir-not-square",
+        "report-short-field", "sir-silent-output",
+    ],
+)
+def test_rejects_malformed_inputs(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestProjectImages:
@@ -328,29 +370,31 @@ class TestCompareInstantaneous:
 class TestMovingRms:
     def test_constant_signal(self, make_ts):
         ts = make_ts(np.full((2, 200), 3.0))
-        env = moving_rms(ts, window_s=0.02)
+        env = moving_rms(ts)
         np.testing.assert_allclose(env, 3.0, rtol=1e-12)
 
     def test_tracks_bursts(self, make_ts):
         x = np.zeros((1, 1000))
         x[0, 400:600] = 1.0
-        env = moving_rms(make_ts(x), window_s=0.05)
+        env = moving_rms(make_ts(x))
         assert env[0, 500] > 0.9
         assert env[0, 100] == 0.0
 
     @pytest.mark.parametrize("n_samples", [1, 2, 24, 25, 26, 49, 50, 51, 52, 1000])
     @pytest.mark.parametrize("window_s", [0.001, 0.05, 0.5])
     def test_matches_gather_formula(self, make_ts, n_samples, window_s):
-        # the envelope as first built, from fancy-indexed window bounds;
-        # window_s = 0.05 at 1 ms gives half = 25, so these lengths put the
-        # clipped edges apart, touching and overlapping
+        # the envelope as first built, from fancy-indexed window bounds, over
+        # as many samples as window_s spans at 1 ms (ENVELOPE_WINDOW_S at a
+        # sample interval scaled to match); window_s = 0.05 gives half = 25,
+        # so these lengths put the clipped edges apart, touching and overlapping
         x = wide_range_signal(3, n_samples, seed=n_samples)
         half = max(1, int(round(window_s / 1e-3))) // 2
         padded = np.concatenate([np.zeros((3, 1)), np.cumsum(x**2, axis=1)], axis=1)
         lo = np.maximum(np.arange(n_samples) - half, 0)
         hi = np.minimum(np.arange(n_samples) + half + 1, n_samples)
         want = np.sqrt((padded[:, hi] - padded[:, lo]) / (hi - lo))
-        assert np.array_equal(moving_rms(make_ts(x), window_s), want)
+        ts = make_ts(x, 1e-3 * ENVELOPE_WINDOW_S / window_s)
+        assert np.array_equal(moving_rms(ts), want)
 
     @pytest.mark.parametrize("n_samples", [16_384, 61_475])
     def test_peak_memory_within_input_multiple(self, make_ts, traced_peak, n_samples):
@@ -358,9 +402,9 @@ class TestMovingRms:
         assert traced_peak(moving_rms, ts) <= 3.5 * ts.data.nbytes
 
 
-def loop_envelopes_csv(ts, path, window_s=0.05):
+def loop_envelopes_csv(ts, path):
     """Row-at-a-time oracle: the writer as first built, one csv.writer row per sample."""
-    env = moving_rms(ts, window_s)
+    env = moving_rms(ts)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)])

@@ -57,6 +57,21 @@ class TestLaggedStatistics:
             stats.covariance(np.ones(2))
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: LaggedStatistics(np.ones(10), 2, 4), "channels, samples"),
+        (lambda: LaggedStatistics(np.ones((2, 10)), 0, 4), ">= 1"),
+        (lambda: LaggedStatistics(np.ones((2, 10)), 2, 0), ">= 1"),
+        (lambda: refine_bank(DemixFilterBank.identity(2, 4), np.ones((3, 100))), "signal has 3"),
+    ],
+    ids=["stats-1d-signal", "stats-zero-length", "stats-zero-block", "refine-channel-mismatch"],
+)
+def test_rejects_malformed_arguments(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
 class TestBlockContrast:
     def test_stationary_power_is_zero(self):
         assert block_contrast(np.ones(64), 8) == pytest.approx(0.0, abs=1e-12)

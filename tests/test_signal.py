@@ -67,7 +67,7 @@ META2 = SignalMetadata(1e-3, ("a", "b"))
 VALUE_TYPES = {
     "TimeSeries": (lambda a: TimeSeries(a, META2), "data", np.ones((2, 4)), DataError),
     "SpectralFrames": (
-        lambda a: SpectralFrames(a, 1, "rect", META2),
+        SpectralFrames,
         "data",
         np.ones((2, 3, 4), dtype=complex),
         ParameterError,
@@ -83,7 +83,7 @@ VALUE_TYPES = {
         lambda a: SpheringTransform(np.eye(2), a, 0.0), "eigenvalues", np.ones(2), ParameterError
     ),
     "SourceSet": (
-        lambda a: SourceSet(a, ("emg", "noise"), 0, 1e-3), "signals", np.ones((2, 4)), ParameterError
+        lambda a: SourceSet(a, ("emg", "noise"), 1e-3), "signals", np.ones((2, 4)), ParameterError
     ),
     "MixingSystem": (MixingSystem, "kernels", np.ones((2, 2, 4)), ParameterError),
 }
@@ -182,6 +182,9 @@ class TestRawIO:
             {"channels": True, "samples": 4, "labels": ["a"]},
             {"samples": "2"},
             {"sample_interval_s": "1e-3"},
+            {"channels": 0, "labels": []},
+            {"samples": -2},
+            {"labels": ["a"]},
         ],
     )
     def test_header_values_are_strict(self, tmp_path, override):

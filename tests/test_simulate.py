@@ -93,6 +93,19 @@ class TestMuapKernel:
         with pytest.raises(ParameterError):
             muap_kernel_components(0.01, 0.1, 4.0, TA, 16)
 
+    @pytest.mark.parametrize(
+        "depth, offset, length, match",
+        [
+            (0.0, 0.0, 16, "depth"),
+            (-0.01, 0.0, 16, "depth"),
+            (0.01, 0.0, 7, "kernel length"),
+            (0.01, -0.001, 16, "offset"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, depth, offset, length, match):
+        with pytest.raises(ParameterError, match=match):
+            muap_kernel_components(depth, offset, 4.0, TA, length)
+
     def test_offset_sets_delay(self):
         offset = 0.0156  # ~4 samples at 4 m/s
         near, _ = muap_kernel_components(0.01, 0.0, 4.0, TA, 32, end_of_fiber_amp=0.0)
@@ -128,7 +141,7 @@ class TestMix:
     def test_delta_kernel_identity(self):
         rng = stream_rng(6, "s")
         sig = rng.standard_normal((1, 50))
-        sources = SourceSet(sig, ("noise",), 6, TA)
+        sources = SourceSet(sig, ("noise",), TA)
         kernels = np.zeros((1, 1, 8))
         kernels[0, 0, 0] = 1.0
         mixed, images = mix(sources, MixingSystem(kernels), [1.0])
@@ -139,7 +152,7 @@ class TestMix:
         rng = stream_rng(7, "s")
         sig = rng.standard_normal((2, 60))
         kernels = rng.standard_normal((2, 2, 4))
-        sources = SourceSet(sig, ("noise", "noise"), 7, TA)
+        sources = SourceSet(sig, ("noise", "noise"), TA)
         system = MixingSystem(kernels)
         both, _ = mix(sources, system, [1.0, 1.0])
         only1, _ = mix(sources, system, [1.0, 0.0])
@@ -151,7 +164,7 @@ class TestMix:
         sig = rng.standard_normal((2, 40))
         kernels = rng.standard_normal((2, 3, 4))
         gains = [0.7, -1.3]
-        sources = SourceSet(sig, ("noise", "noise"), 8, TA)
+        sources = SourceSet(sig, ("noise", "noise"), TA)
         mixed, images = mix(sources, MixingSystem(kernels), gains)
         np.testing.assert_allclose(mixed.data, naive_mix(sig, kernels, gains), atol=1e-12)
 
@@ -200,12 +213,13 @@ class TestBuildScenario:
         assert 500.0 <= ecg_rms / emg_rms <= 2000.0
 
     def test_default_is_paper_shaped(self):
-        sc = respiratory_scenario()
-        assert sc.n_sources == 4
-        assert build_scenario(respiratory_scenario(duration_s=1.0)).mixed.n_channels == 4
-        assert sc.sample_interval_s == pytest.approx(0.976e-3)
-        assert sc.ecg_gain == 1000.0
-        assert sc.kernel_length == 16
+        assert respiratory_scenario().n_sources == 4
+        sim = build_scenario(respiratory_scenario(duration_s=1.0))
+        assert sim.mixed.n_channels == 4
+        assert sim.mixed.meta.sample_interval_s == pytest.approx(0.976e-3)
+        assert sim.system.kernels.shape[2] == 16
+        ecg = sim.images[sim.sources.kinds.index("ecg")].data
+        assert np.sqrt(np.mean(ecg**2)) == pytest.approx(1000.0)
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -214,10 +228,10 @@ class TestBuildScenario:
             ({"n_sources": 3}, "source_kinds"),
             ({"source_kinds": ["emg", "emg", "ecg", "bogus"]}, "source_kinds"),
             ({"mixing": "bogus"}, "mixing"),
-            ({"kernel_length": 4}, "kernel_length"),
-            ({"sample_interval_s": -1e-3}, "sample_interval_s"),
-            ({"ecg_gain": -1.0}, "ecg_gain"),
-            ({"conduction_velocity_m_s": 0.0}, "conduction_velocity_m_s"),
+            ({"sensor_spacing_m": 0.017}, "sensor_spacing_m"),
+            ({"duration_s": -1.0}, "duration_s"),
+            ({"lateral_attenuation": float("nan")}, "lateral_attenuation"),
+            ({"source_depths_m": [0.01, 0.012, 0.02]}, "source_depths_m"),
             ({"firing_rates_hz": [18.0, -1.0, 0.0, 0.0]}, "firing_rates_hz"),
             ({"source_depths_m": [0.01, 0.0, 0.02, 0.015]}, "source_depths_m"),
             ({"duration_s": 0.01}, "duration_s"),
@@ -242,20 +256,22 @@ class TestBuildScenario:
             respiratory_scenario(sensor_spacing_m=-0.015)
 
     def test_ecg_bpm_must_be_positive(self):
-        with pytest.raises(ParameterError, match="ecg_bpm"):
-            SimScenario(ecg_bpm=0.0)
+        # every scenario's heart rate is ECG_BPM; only the generator takes another
+        for bpm in (0.0, -70.0):
+            with pytest.raises(ParameterError, match="bpm"):
+                generate_ecg_interferer(bpm, 100, TA, stream_rng(0, "ecg"))
 
     def test_propagation_delay_checked_at_construction(self):
-        # 2 + 3 * 0.015 / (v * 0.976e-3) <= 15 holds from v = 3.5466 m/s
-        build_scenario(respiratory_scenario(conduction_velocity_m_s=3.55, duration_s=2.0))
-        with pytest.raises(ParameterError, match="conduction_velocity_m_s"):
-            respiratory_scenario(conduction_velocity_m_s=3.54)
+        # 2 + 3 * d / (4 * 0.976e-3) <= 15 holds up to d = 0.016917 m
+        build_scenario(respiratory_scenario(sensor_spacing_m=0.0169, duration_s=2.0))
+        with pytest.raises(ParameterError, match="sensor_spacing_m"):
+            respiratory_scenario(sensor_spacing_m=0.0170)
         # no propagating MUAP kernel is built, so no delay has to fit
-        respiratory_scenario(conduction_velocity_m_s=0.5, mixing="instantaneous")
+        respiratory_scenario(sensor_spacing_m=0.05, mixing="instantaneous")
         SimScenario(
             source_kinds=("ecg", "noise", "noise", "noise"),
             firing_rates_hz=(0.0,) * 4,
-            conduction_velocity_m_s=0.5,
+            sensor_spacing_m=0.05,
         )
 
     def test_pair_scenarios(self):

@@ -256,9 +256,5 @@ class TestSpectralFramesType:
         assert frames.n_blocks == 1
 
     def test_rejects_non_power_of_two_bins(self):
-        from convsep.signal import SignalMetadata
-
         with pytest.raises(ParameterError):
-            SpectralFrames(
-                np.zeros((1, 2, 12), dtype=complex), 4, "rect", SignalMetadata(1e-3, ("a",))
-            )
+            SpectralFrames(np.zeros((1, 2, 12), dtype=complex))

@@ -24,6 +24,21 @@ def eigen_2x2(cov):
     return lam, np.stack(vecs, axis=1)
 
 
+@pytest.mark.parametrize(
+    "matrix, eigenvalues, match",
+    [
+        (np.ones((2, 3)), np.ones(2), "square"),
+        (np.eye(2), np.ones(3), "one eigenvalue per channel"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2), "symmetric"),
+        (np.eye(2), np.array([1.0, -1e-3]), "non-negative"),
+    ],
+)
+def test_transform_rejects_malformed_fields(matrix, eigenvalues, match):
+    # evaluate rebuilds the transform from run_report.json, so these guard file input
+    with pytest.raises(ParameterError, match=match):
+        SpheringTransform(matrix, eigenvalues, 0.0)
+
+
 class TestCovariance:
     def test_zero_signal(self, make_ts):
         cov = estimate_spatial_covariance(make_ts(np.zeros((3, 10))))
