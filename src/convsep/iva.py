@@ -7,16 +7,18 @@ rescaling. Bins are tied together only through the normalization, which
 is what sidesteps the narrowband permutation ambiguity.
 
 run_iva runs the loop on plain arrays: bins 0..L of the real input's
-conjugate-symmetric spectrum, laid out once as (bins, channels, blocks),
-with the interior bins counted twice in every mean over bins. Each
-iteration is one pass over that mixture spectrum X in chunks of blocks of
-about _CHUNK_BYTES: per chunk, Y = W X, its broadband norms, the score and
-the bracket sum, so no outputs array of the frames' size is ever held. The
-chunks bound memory only; they buy no speed.
+conjugate-symmetric spectrum, laid out once in float64 as (bins, 2 *
+channels, blocks) with rows [Re X; Im X], and with the interior bins
+counted twice in every mean over bins. Each iteration is one pass over
+that mixture X in chunks of blocks of about _CHUNK_BYTES, all in real
+arithmetic: per chunk, the stacked outputs [Re Y; Im Y] from the real
+block form of W, their broadband norms, the score and the real Gram sum
+from which the bracket is read, so no outputs array of the frames' size
+is ever held. The chunks bound memory only; they buy no speed.
 The score Y / ||Y|| does not depend on scale, so its guard _NORM_GUARD is
 an absolute floor that only keeps a silent block's 0/0 at 0. When every
-kept bin is exactly real (L = 1: DC and Nyquist only) the loop runs in
-float64.
+kept bin is exactly real (L = 1: DC and Nyquist only) the rows are X
+alone and the bank stays float64.
 forward_pass, broadband_norms and score are the full-spectrum reference
 steps on SpectralFrames; update_step and minimum_distortion serve both.
 """
@@ -91,11 +93,12 @@ class IterationState:
 
     outputs is either SpectralFrames of the outputs, (channels, blocks,
     bins), every bin weighted 1, with norms their (blocks, channels)
-    broadband norms; or, as run_iva passes it, the bins-major (bins,
-    channels, blocks) half spectrum X of the mixture, from which
-    update_step forms the outputs W X chunk by chunk. Then norms is None,
-    and each kept bin counts for the full-spectrum bins it stands for (1,
-    2, ..., 2, 1). filters holds one matrix per bin of outputs.
+    broadband norms; or, as run_iva passes it, the half spectrum X of the
+    mixture as a float64 (bins, K * channels, blocks) array, rows
+    [Re X; Im X] for a complex bank (K = 2) or X for a float64 one (K = 1),
+    from which update_step forms the outputs W X chunk by chunk. Then norms
+    is None, and each kept bin counts for the full-spectrum bins it stands
+    for (1, 2, ..., 2, 1). filters holds one matrix per bin of outputs.
     """
 
     filters: FrequencyFilterBank
@@ -158,57 +161,82 @@ def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralF
 def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterBank, float, float]:
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
-    Phi is the score of the outputs; Phi Y^H is summed over blocks in
-    chunks of about _CHUNK_BYTES, which bound the temporaries, not the time.
-    Given the mixture X, each chunk's outputs Y = W X and their broadband
-    norms are formed there too, with the half spectrum's interior bins
-    weighted 2. Every norm is guarded by _NORM_GUARD, the smallest normal float.
+    Phi is the score of the outputs. The pass over the blocks runs in real
+    arithmetic, in chunks of about _CHUNK_BYTES (they bound the temporaries,
+    not the time), on the stacked outputs Z = [Re Y; Im Y] (Y alone for a
+    float64 bank): G += (Z / ||Y||) Z^T, and then Phi Y^H = G_aa + G_bb +
+    i (G_ba - G_ab) from the blocks of G. Given the stacked mixture, Z is
+    [[Re W, -Im W], [Im W, Re W]] (W for a float64 bank) times it, and the
+    broadband norms are formed there too, with the half spectrum's interior
+    bins weighted 2. Every norm is guarded by _NORM_GUARD, the smallest
+    normal float.
     Returns the new bank plus the bin-weighted mean and the max Frobenius
     norm of the bracketed term over bins (the convergence-trace entries).
-    Raises ParameterError when the bank's bins or channels differ from the
-    outputs', or when given outputs lack non-negative (blocks, channels) norms.
+    Raises ParameterError when given outputs differ from the bank in bins
+    or channels or lack non-negative (blocks, channels) norms, or when the
+    mixture is not float64 with K x the bank's channels as rows (K = 2 for
+    a complex bank, 1 for a float64 one).
     """
     response = state.filters.response
+    n_bins, channels = response.shape[:2]
     outputs_given = isinstance(state.outputs, SpectralFrames)
-    source = state.outputs.data.transpose(2, 0, 1) if outputs_given else state.outputs
-    n_bins, channels, n_blocks = source.shape
-    if response.shape != (n_bins, channels, channels):
-        raise ParameterError(
-            f"bank is {response.shape[0]} bins x {response.shape[1]} channels, "
-            f"outputs are {n_bins} x {channels}"
-        )
-    if outputs_given and (
-        np.shape(state.norms) != (n_blocks, channels) or np.any(np.asarray(state.norms) < 0)
-    ):
-        raise ParameterError(
-            f"norms must be non-negative (blocks, channels) = ({n_blocks}, {channels}), "
-            f"got shape {np.shape(state.norms)}"
-        )
+    if outputs_given:
+        parts = 2
+        source = state.outputs.data.transpose(2, 0, 1)  # (bins, channels, blocks)
+        if source.shape[:2] != (n_bins, channels):
+            raise ParameterError(
+                f"bank is {n_bins} bins x {channels} channels, "
+                f"outputs are {source.shape[0]} x {source.shape[1]}"
+            )
+        n_blocks = source.shape[2]
+        if np.shape(state.norms) != (n_blocks, channels) or np.any(np.asarray(state.norms) < 0):
+            raise ParameterError(
+                f"norms must be non-negative (blocks, channels) = ({n_blocks}, {channels}), "
+                f"got shape {np.shape(state.norms)}"
+            )
+    else:
+        parts = 1 if response.dtype == np.float64 else 2
+        source = state.outputs
+        expected = (n_bins, parts * channels)
+        if source.ndim != 3 or source.shape[:2] != expected or source.dtype != np.float64:
+            raise ParameterError(
+                f"a {response.dtype} bank of shape {response.shape} needs a float64 mixture "
+                f"of shape ({expected[0]}, {expected[1]}, blocks), got {source.dtype} {source.shape}"
+            )
+        n_blocks = source.shape[2]
+        w_real = response
+        if parts == 2:
+            w_real = np.block([[response.real, -response.imag], [response.imag, response.real]])
     weights = np.ones(n_bins)
     if not outputs_given:
         weights[1:-1] = 2.0
     scale = weights / weights.sum()
-    dtype = np.result_type(source, response)
-    step = max(1, _CHUNK_BYTES // (n_bins * channels * np.dtype(dtype).itemsize))
+    rows = parts * channels
+    split = (n_bins, parts, channels, -1)
+    step = max(1, _CHUNK_BYTES // (n_bins * rows * 8))
     with np.errstate(over="ignore", invalid="ignore"):
-        # conj(Phi) Y^T summed over blocks, conjugated once at the end
-        cross = np.zeros((n_bins, channels, channels), dtype=dtype)
+        gram = np.zeros((n_bins, rows, rows))
         for start in range(0, n_blocks, step):
             blocks = slice(start, start + step)
             if outputs_given:
                 y = source[:, :, blocks]
-                norms = state.norms[blocks].T
+                z = np.concatenate((y.real, y.imag), axis=1)
+                sq = np.empty_like(z)
+                inv = state.norms[blocks].T + _NORM_GUARD
             else:
-                y = response @ source[:, :, blocks]
-                power = np.square(y.real)
-                if np.iscomplexobj(y):
-                    power += np.square(y.imag)
-                norms = np.sqrt(scale @ power.reshape(n_bins, -1)).reshape(y.shape[1:])
-            phi_conj = y * (1.0 / (norms + _NORM_GUARD))
-            if np.iscomplexobj(phi_conj):
-                np.conjugate(phi_conj, out=phi_conj)
-            cross += phi_conj @ y.transpose(0, 2, 1)
-        bracket = np.eye(channels) - np.conj(cross) / n_blocks
+                z = w_real @ source[:, :, blocks]
+                sq = np.square(z)
+                inv = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1).sum(axis=0)
+                np.sqrt(inv, out=inv)
+                inv += _NORM_GUARD
+            np.divide(1.0, inv, out=inv)
+            np.multiply(z.reshape(split), inv, out=sq.reshape(split))
+            gram += sq @ z.transpose(0, 2, 1)
+        cross = gram
+        if parts == 2:
+            g = gram.reshape(n_bins, 2, channels, 2, channels)  # [[G_aa, G_ab], [G_ba, G_bb]]
+            cross = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 1, :, 0] - g[:, 0, :, 1])
+        bracket = np.eye(channels) - cross / n_blocks
         norms = np.linalg.norm(bracket, axis=(1, 2))
         new_response = response + cfg.step_size * (bracket @ response)
     if not np.all(np.isfinite(new_response)):
@@ -242,8 +270,9 @@ def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:
 
 
 def _half_spectrum(data: np.ndarray) -> np.ndarray:
-    """Bins 0..M/2 of (channels, blocks, M) frames, bins-major; float64
-    when all of them are exactly real (as at M = 2), complex otherwise.
+    """Bins 0..M/2 of (channels, blocks, M) frames as one float64 array of
+    shape (bins, K * channels, blocks): rows [Re X; Im X] (K = 2), or X
+    alone (K = 1) when every kept bin is exactly real (as at M = 2).
 
     Raises ParameterError unless bin M-v is the conjugate of bin v (so the
     DC and Nyquist bins are real) to within _SYMMETRY_RTOL of the largest
@@ -260,9 +289,10 @@ def _half_spectrum(data: np.ndarray) -> np.ndarray:
                     f"frames are not conjugate-symmetric: bin {v} is not the conjugate "
                     f"of bin {-v % n_bins} (the input must be real)"
                 )
-    if not np.any(kept.imag):
-        kept = kept.real
-    return np.ascontiguousarray(kept.transpose(2, 0, 1))
+    parts = (kept.real, kept.imag) if np.any(kept.imag) else (kept.real,)
+    # concatenate would follow the frames' layout; X is read bins-major
+    x = np.empty((kept.shape[2], len(parts) * kept.shape[0], kept.shape[1]))
+    return np.concatenate([part.transpose(2, 0, 1) for part in parts], axis=1, out=x)
 
 
 def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, ConvergenceTrace]:
@@ -271,10 +301,11 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
 
     Expects centered frames of a real signal (conjugate-symmetric in the
     bins) with an even power-of-two bin count M = 2L and at least two
-    blocks. The loop runs on bins 0..L only, transposed once to (bins,
-    channels, blocks), in float64 when those bins are exactly real; the
-    other bins stay their conjugates throughout. The bank is read out with
-    the real inverse DFT, so nothing imaginary is discarded.
+    blocks. The loop runs on bins 0..L only, stacked once as [Re X; Im X]
+    in a float64 (bins, 2 * channels, blocks) array, or X alone with a
+    float64 bank when those bins are exactly real; the other bins stay
+    their conjugates throughout. The bank is read out with the real
+    inverse DFT, so nothing imaginary is discarded.
     """
     n_bins = frames.n_bins
     if n_bins % 2 != 0:
@@ -284,7 +315,8 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     filter_length = n_bins // 2
 
     x = _half_spectrum(frames.data)
-    eye = np.eye(frames.n_channels, dtype=x.dtype)
+    real = x.shape[1] == frames.n_channels
+    eye = np.eye(frames.n_channels, dtype=np.float64 if real else np.complex128)
     bank = FrequencyFilterBank(np.tile(eye, (filter_length + 1, 1, 1)))
     mean_trace: list[float] = []
     max_trace: list[float] = []

@@ -19,7 +19,13 @@ from .demix import PipelineConfig, PipelineResult, apply_mimo_fir, demix_pipelin
 from .errors import ParameterError, UndefinedSirError
 from .iva import ConvergenceTrace
 from .signal import TimeSeries, _open_new, highpass_dc_removal
-from .simulate import SimScenario, Simulation, build_scenario
+from .simulate import (
+    CONDUCTION_VELOCITY_M_S,
+    SAMPLE_INTERVAL_S,
+    SimScenario,
+    Simulation,
+    build_scenario,
+)
 from .spectral import DemixFilterBank
 from .sphering import SpheringTransform, apply_sphering
 
@@ -252,13 +258,12 @@ def compare_instantaneous(
     return _run_and_evaluate(sim, cfg_inst), _run_and_evaluate(sim, cfg)
 
 
-def physical_path_length(
-    filter_length: int, sample_interval_s: float, velocity_m_s: float
-) -> float:
-    """Propagation distance spanned by an L-tap filter: v * L * Ta."""
-    if filter_length <= 0 or sample_interval_s <= 0 or velocity_m_s <= 0:
-        raise ParameterError("all arguments must be positive")
-    return velocity_m_s * filter_length * sample_interval_s
+def physical_path_length(filter_length: int) -> float:
+    """Propagation distance spanned by an L-tap filter: v * L * Ta, with the
+    simulator's conduction velocity v and sample interval Ta."""
+    if filter_length <= 0:
+        raise ParameterError(f"filter_length must be positive, got {filter_length}")
+    return CONDUCTION_VELOCITY_M_S * filter_length * SAMPLE_INTERVAL_S
 
 
 def moving_rms(ts: TimeSeries) -> np.ndarray:

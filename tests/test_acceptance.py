@@ -422,7 +422,7 @@ class TestCriterion6StationarityStatistics:
 
 class TestCriterion7PhysicalPlausibility:
     def test_path_length_constant(self):
-        value = physical_path_length(64, 0.976e-3, 4.0)
+        value = physical_path_length(64)
         exact = 4.0 * 64 * 0.976e-3  # 0.249856 m, ~25 cm
         ok = abs(value - exact) <= 1e-6 and round(value, 5) == 0.24986
         print(

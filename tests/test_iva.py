@@ -33,14 +33,14 @@ def frames_from(data):
     return SpectralFrames(np.asarray(data, dtype=complex))
 
 
-def mixture_frames(filter_length, n_samples=6000, seed=13):
-    """Centered zeropad frames of a real 3-channel convolutive mixture of
-    Laplacian sources, hop L."""
+def mixture_frames(filter_length, channels=3, n_samples=6000, seed=13):
+    """Centered zeropad frames of a real convolutive mixture of Laplacian
+    sources, one per channel, hop L."""
     rng = np.random.default_rng(seed)
-    sources = rng.laplace(size=(3, n_samples))
-    mixed = rng.standard_normal((3, 3)) @ sources
-    mixed[:, 1:] += 0.5 * rng.standard_normal((3, 3)) @ sources[:, :-1]
-    meta = SignalMetadata(1e-3, ("a", "b", "c"))
+    sources = rng.laplace(size=(channels, n_samples))
+    mixed = rng.standard_normal((channels, channels)) @ sources
+    mixed[:, 1:] += 0.5 * rng.standard_normal((channels, channels)) @ sources[:, :-1]
+    meta = SignalMetadata(1e-3, tuple("abcd"[:channels]))
     return center(stft(TimeSeries(mixed, meta), 2 * filter_length, filter_length, "zeropad"))
 
 
@@ -265,6 +265,21 @@ class TestUpdateStep:
         with pytest.raises(ParameterError, match="non-negative"):
             update_step(state, IvaConfig())
 
+    def test_rejects_complex_mixture(self):
+        # the (bins, channels, blocks) complex layout has the bank's row count
+        # at K = 1, but a complex bank reads rows as [Re X; Im X]
+        mixture = np.ones((5, 2, 7), dtype=complex)
+        state = IterationState(FrequencyFilterBank.identity(5, 2), mixture, None, [])
+        with pytest.raises(ParameterError, match=r"\(5, 4, blocks\), got complex128 \(5, 2, 7\)"):
+            update_step(state, IvaConfig())
+
+    def test_rejects_mixture_rows_other_than_parts_times_channels(self):
+        # a float64 bank needs X alone: one row per channel
+        bank = FrequencyFilterBank(np.tile(np.eye(2), (2, 1, 1)))
+        state = IterationState(bank, np.ones((2, 4, 7)), None, [])
+        with pytest.raises(ParameterError, match=r"\(2, 2, 2\) needs .* \(2, 2, blocks\), got float64 \(2, 4, 7\)"):
+            update_step(state, IvaConfig())
+
 
 class TestMinimumDistortion:
     def test_diagonal_becomes_identity(self):
@@ -408,8 +423,15 @@ class TestHalfSpectrumLoop:
     @pytest.mark.parametrize("filter_length", [8, 1])
     @pytest.mark.parametrize("iterations", [1, 5, 20])
     def test_matches_reference_loop(self, filter_length, iterations):
-        frames = mixture_frames(filter_length)
-        cfg = IvaConfig(step_size=0.05, max_iterations=iterations)
+        # 4 channels is the flagship's count; there mu = 0.05 is past the
+        # step-size bound, and both loops find bin 1 singular at L = 8
+        for channels, step_size in [(3, 0.05), (4, 0.02)]:
+            self.check_against_reference_loop(filter_length, iterations, channels, step_size)
+
+    @staticmethod
+    def check_against_reference_loop(filter_length, iterations, channels, step_size):
+        frames = mixture_frames(filter_length, channels)
+        cfg = IvaConfig(step_size=step_size, max_iterations=iterations)
         bank, trace = run_iva(frames, cfg)
         ref_fb, ref_mean, ref_max = reference_iva(frames, cfg)
         ref_bank = filters_to_time(ref_fb, filter_length)
@@ -427,7 +449,8 @@ class TestHalfSpectrumLoop:
     @pytest.mark.parametrize("iterations", [1, 5, 20])
     def test_multi_chunk_pass_matches_reference_loop(self, monkeypatch, filter_length, iterations):
         # the default chunk holds all of mixture_frames; 4096 bytes splits it
-        # into 84 chunks at L = 8 and 71 at L = 1, the last one short
+        # into 84 chunks at L = 8 and 71 at L = 1 with 3 channels, and into
+        # 107 and 94 with 4, the last one short
         monkeypatch.setattr(convsep.iva, "_CHUNK_BYTES", 4096)
         self.test_matches_reference_loop(filter_length, iterations)
 
@@ -474,17 +497,20 @@ class TestHalfSpectrumLoop:
 
     @pytest.mark.parametrize("filter_length, dtype", [(1, np.float64), (8, np.complex128)])
     def test_iterates_real_only_when_kept_bins_are_real(self, monkeypatch, filter_length, dtype):
-        # at L = 1 the kept bins are DC and Nyquist, exactly real
+        # at L = 1 the kept bins are DC and Nyquist, exactly real, and the
+        # mixture is X alone; otherwise it is stacked as [Re X; Im X]
         seen = []
         step = convsep.iva.update_step
 
         def spy(state, cfg):
-            seen.append(state.filters.response.dtype)
+            seen.append((state.filters.response.dtype, state.outputs.dtype, state.outputs.shape))
             return step(state, cfg)
 
         monkeypatch.setattr(convsep.iva, "update_step", spy)
-        run_iva(mixture_frames(filter_length), IvaConfig(step_size=0.05, max_iterations=3))
-        assert seen == [np.dtype(dtype)] * 3
+        frames = mixture_frames(filter_length)
+        run_iva(frames, IvaConfig(step_size=0.05, max_iterations=3))
+        rows = 3 if dtype is np.float64 else 6
+        assert seen == [(np.dtype(dtype), np.float64, (filter_length + 1, rows, frames.n_blocks))] * 3
 
 
 def csv_writer_trace(trace, path):

@@ -296,21 +296,21 @@ class TestInputSir:
 class TestPhysicalPathLength:
     def test_paper_constant(self):
         # v L Ta = 4 * 64 * 0.976 ms = 0.249856 m, about 25 cm of muscle
-        value = physical_path_length(64, 0.976e-3, 4.0)
+        value = physical_path_length(64)
         assert abs(value - 0.249856) <= 1e-6
         assert abs(value - 0.25) < 0.001
 
     def test_single_tap(self):
-        assert physical_path_length(1, 0.976e-3, 4.0) == pytest.approx(4.0 * 0.976e-3)
+        assert physical_path_length(1) == pytest.approx(4.0 * 0.976e-3)
 
     def test_linear_in_length(self):
-        a = physical_path_length(32, 1e-3, 3.5)
-        b = physical_path_length(64, 1e-3, 3.5)
-        assert b == 2.0 * a
+        a = physical_path_length(32)
+        assert physical_path_length(64) == 2.0 * a
+        assert physical_path_length(7) == pytest.approx(7.0 * physical_path_length(1), rel=1e-15)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ParameterError):
-            physical_path_length(0, 1e-3, 4.0)
+        with pytest.raises(ParameterError, match="filter_length"):
+            physical_path_length(0)
 
 
 class TestEvaluateSeparation:
