@@ -254,12 +254,15 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
             np.asarray(_json_list(_json_float)(sph["eigenvalues"])),
             _json_float(sph["regularization_eps"]),
         )
+        convergence, refinement = run_report["iva"], run_report["refinement"]
+        if not isinstance(convergence, dict) or not isinstance(refinement, dict):
+            raise ValueError("iva and refinement must be JSON objects")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read run report {run_report_path}: {exc}") from exc
     report = evaluate_separation(bank, transform, images, dc_cutoff_hz=cfg.dc_cutoff_hz)
     payload = report.to_dict()
-    payload["convergence"] = run_report.get("iva")
-    payload["refinement"] = run_report.get("refinement")
+    payload["convergence"] = convergence
+    payload["refinement"] = refinement
     write_json(payload, out_dir / "report.json")
     separated = read_raw(out_dir / "separated.raw", out_dir / "separated.json")
     write_envelopes_csv(separated, out_dir / "envelopes.csv")

@@ -5,6 +5,7 @@ sphering + separation pipeline built on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +35,10 @@ class PipelineConfig:
     """Everything demix_pipeline needs: the filter length, preprocessing,
     and the separation settings.
 
-    The framing follows from filter_length L: 2L-point frames, zero-padded
-    after their first L samples, one filter length apart. dc_cutoff_hz=None
-    skips the highpass stage (the cutoff has no principled default here).
+    The framing follows from filter_length L, an integer power of two (not
+    a bool): 2L-point frames, zero-padded after their first L samples, one
+    filter length apart. dc_cutoff_hz=None skips the highpass stage (the
+    cutoff has no principled default here).
     """
 
     filter_length: int = 64
@@ -45,6 +47,8 @@ class PipelineConfig:
     iva: IvaConfig = field(default_factory=IvaConfig)
 
     def __post_init__(self):
+        if isinstance(self.filter_length, bool) or not isinstance(self.filter_length, Integral):
+            raise ParameterError(f"filter length must be an integer, got {self.filter_length!r}")
         if not _is_power_of_two(self.filter_length):
             raise ParameterError(
                 f"filter length must be a power of two, got {self.filter_length}"

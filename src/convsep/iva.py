@@ -26,6 +26,7 @@ steps on SpectralFrames; update_step and minimum_distortion serve both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -70,6 +71,7 @@ class IvaConfig:
 
     convergence_tol is relative: the loop stops once the mean update norm
     falls below convergence_tol times its first-iteration value.
+    max_iterations must be an integer (a bool is not one).
     """
 
     step_size: float = 0.003
@@ -79,6 +81,8 @@ class IvaConfig:
     def __post_init__(self):
         if not 0 <= self.step_size <= 1:
             raise ParameterError(f"step_size must be in [0, 1], got {self.step_size}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
+            raise ParameterError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0 <= self.convergence_tol < np.inf:

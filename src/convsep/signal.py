@@ -41,15 +41,15 @@ def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarra
 
 @dataclass(frozen=True)
 class SignalMetadata:
-    """Sampling interval in seconds plus one text label per channel."""
+    """Sampling interval in seconds (finite, positive) plus one text label per channel."""
 
     sample_interval_s: float
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.sample_interval_s > 0:
+        if not 0 < self.sample_interval_s < np.inf:
             raise ParameterError(
-                f"sample_interval_s must be positive, got {self.sample_interval_s}"
+                f"sample_interval_s must be finite and positive, got {self.sample_interval_s}"
             )
         object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
 
@@ -166,8 +166,9 @@ def read_raw(path, header) -> TimeSeries:
     try:
         channels = _json_int(desc["channels"])
         samples = _json_int(desc["samples"])
-        interval = _json_float(desc["sample_interval_s"])
         labels = _json_list(_json_str)(desc["labels"])
+        # a ParameterError here is a ValueError, so a bad interval is a FormatError
+        meta = SignalMetadata(_json_float(desc["sample_interval_s"]), labels)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"cannot read signal header {header}: {exc}") from exc
     if channels < 1 or samples < 1:
@@ -187,7 +188,7 @@ def read_raw(path, header) -> TimeSeries:
     data = np.ascontiguousarray(payload.reshape(samples, channels).T, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: payload contains non-finite values")
-    return TimeSeries(data, SignalMetadata(interval, labels))
+    return TimeSeries(data, meta)
 
 
 def write_raw(ts: TimeSeries, path, header) -> None:

@@ -8,6 +8,10 @@ plus an end-of-fiber wavelet at a fixed late lag that falls only
 linearly with depth. Deepening a fiber therefore attenuates the
 propagating component faster, which is the effect an instantaneous
 mixing model cannot represent.
+
+The generators read the recording every scenario shares (sample interval,
+kernel length, conduction velocity, breathing period, heart rate) from
+this module's constants; they take only what varies.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -76,11 +81,10 @@ def stream_rng(seed: int, label: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SourceSet:
-    """Source signals (sources, samples) with their kinds and sample interval."""
+    """Source signals (sources, samples), sampled every SAMPLE_INTERVAL_S, and their kinds."""
 
     signals: np.ndarray
     kinds: tuple[str, ...]
-    sample_interval_s: float
 
     def __post_init__(self):
         arr = np.asarray(self.signals, dtype=np.float64)
@@ -89,8 +93,6 @@ class SourceSet:
         arr = _frozen_array(arr, "source signals")
         if len(self.kinds) != arr.shape[0]:
             raise ParameterError(f"{len(self.kinds)} kinds for {arr.shape[0]} sources")
-        if not self.sample_interval_s > 0:
-            raise ParameterError("sample_interval_s must be positive")
         object.__setattr__(self, "signals", arr)
         object.__setattr__(self, "kinds", tuple(self.kinds))
 
@@ -134,7 +136,8 @@ class SimScenario:
     There are as many sensors as sources (square demixing). The sampling
     interval, kernel length, conduction velocity, breathing period, heart
     rate and per-kind image gains are this module's constants, the same for
-    every scenario. Every float value, in tuples too, must be finite.
+    every scenario. Every float value, in tuples too, must be finite, and
+    n_sources and seed must be integers (a bool is not one).
     """
 
     n_sources: int = 4
@@ -155,6 +158,8 @@ class SimScenario:
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ParameterError(f"{f.name} must be finite, got {value}")
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.n_sources < 1:
@@ -179,12 +184,10 @@ class SimScenario:
         if self.mixing == "convolutive" and muap_sources:
             # the farthest sensor from any MUAP source, as _source_kernels places them
             reach = max(max(q, self.n_sources - 1 - q) for q in muap_sources)
-            delay = reach * self.sensor_spacing_m / (CONDUCTION_VELOCITY_M_S * SAMPLE_INTERVAL_S)
-            if MUAP_BASE_LAG + delay > KERNEL_LENGTH - 1:
-                raise ParameterError(
-                    f"sensor_spacing_m {self.sensor_spacing_m} gives a propagation delay of "
-                    f"{delay:.1f} samples, which does not fit a {KERNEL_LENGTH}-tap kernel"
-                )
+            try:
+                _propagation_delay(reach * self.sensor_spacing_m)
+            except ParameterError as exc:
+                raise ParameterError(f"sensor_spacing_m {self.sensor_spacing_m}: {exc}") from None
         if any(r < 0 for r in self.firing_rates_hz):
             raise ParameterError("firing_rates_hz must be >= 0")
         if any(d <= 0 for d in self.source_depths_m):
@@ -204,35 +207,31 @@ class Simulation(NamedTuple):
     images: list
 
 
-def cyclic_envelope(
-    n: int, sample_interval_s: float, period_s: float, start_frac: float, stop_frac: float
-) -> np.ndarray:
-    """On/off gate over a repeating cycle: 1 where the cycle phase is in
-    [start_frac, stop_frac)."""
+def cyclic_envelope(n: int, start_frac: float, stop_frac: float) -> np.ndarray:
+    """On/off gate over n samples of the breathing cycle: 1 where the phase
+    within BREATH_PERIOD_S is in [start_frac, stop_frac)."""
     if not 0 <= start_frac < stop_frac <= 1:
         raise ParameterError(f"need 0 <= start < stop <= 1, got {start_frac}, {stop_frac}")
-    phase = (np.arange(n) * sample_interval_s % period_s) / period_s
+    phase = (np.arange(n) * SAMPLE_INTERVAL_S % BREATH_PERIOD_S) / BREATH_PERIOD_S
     return ((phase >= start_frac) & (phase < stop_frac)).astype(np.float64)
 
 
 def generate_impulse_train(
-    rate_hz: float,
-    envelope: np.ndarray,
-    n: int,
-    sample_interval_s: float,
-    rng: np.random.Generator,
+    rate_hz: float, envelope: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Unit spikes with inter-spike intervals jittered by FIRING_JITTER
-    (Gaussian, relative), gated by the envelope."""
+    """Unit spikes, one sample per envelope sample, with inter-spike
+    intervals jittered by FIRING_JITTER (Gaussian, relative), gated by the
+    envelope."""
     if rate_hz < 0:
         raise ParameterError(f"rate must be >= 0, got {rate_hz}")
+    envelope = np.asarray(envelope, dtype=np.float64)
+    if envelope.ndim != 1:
+        raise ParameterError(f"envelope must be 1-D, got {envelope.shape}")
+    n = envelope.size
     out = np.zeros(n)
     if rate_hz == 0:
         return out
-    envelope = np.asarray(envelope, dtype=np.float64)
-    if envelope.shape != (n,):
-        raise ParameterError(f"envelope must have {n} samples, got {envelope.shape}")
-    base = 1.0 / (rate_hz * sample_interval_s)
+    base = 1.0 / (rate_hz * SAMPLE_INTERVAL_S)
     idx = 0
     while True:
         factor = 1.0 + FIRING_JITTER * rng.standard_normal()
@@ -253,16 +252,24 @@ def _gaussian_wavelet(length: int, center: float, width: float, order: int) -> n
     return w / peak if peak > 0 else w
 
 
+def _propagation_delay(offset_m: float) -> float:
+    """Samples a MUAP takes to travel offset_m along the fiber; ParameterError
+    if the delayed wavelet's centre falls past the kernel's last tap."""
+    delay = offset_m / (CONDUCTION_VELOCITY_M_S * SAMPLE_INTERVAL_S)
+    if MUAP_BASE_LAG + delay > KERNEL_LENGTH - 1:
+        raise ParameterError(
+            f"propagation delay of {delay:.1f} samples does not fit a {KERNEL_LENGTH}-tap kernel"
+        )
+    return delay
+
+
 def muap_kernel_components(
     depth_m: float,
     sensor_offset_m: float,
-    velocity_m_s: float,
-    sample_interval_s: float,
-    kernel_length: int,
     amplitude: float = 1.0,
     end_of_fiber_amp: float = 0.3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagating and end-of-fiber parts of one MUAP kernel.
+    """Propagating and end-of-fiber parts of one KERNEL_LENGTH-tap MUAP kernel.
 
     The propagating wavelet is delayed by offset/(v*Ta) samples and scaled
     by depth^-2; the end-of-fiber wavelet sits at a fixed late lag and
@@ -270,46 +277,32 @@ def muap_kernel_components(
     """
     if not depth_m > 0:
         raise ParameterError(f"depth must be positive, got {depth_m}")
-    if kernel_length < 8:
-        raise ParameterError(f"kernel length must be >= 8, got {kernel_length}")
     if sensor_offset_m < 0:
         raise ParameterError(f"sensor offset must be >= 0, got {sensor_offset_m}")
-    delay = sensor_offset_m / (velocity_m_s * sample_interval_s)
-    if MUAP_BASE_LAG + delay > kernel_length - 1:
-        raise ParameterError(
-            f"propagation delay of {delay:.1f} samples does not fit a "
-            f"{kernel_length}-tap kernel"
-        )
+    delay = _propagation_delay(sensor_offset_m)
     rel = depth_m / REFERENCE_DEPTH_M
     prop = amplitude * rel**-2.0 * _gaussian_wavelet(
-        kernel_length, MUAP_BASE_LAG + delay, MUAP_PROP_WIDTH, order=1
+        KERNEL_LENGTH, MUAP_BASE_LAG + delay, MUAP_PROP_WIDTH, order=1
     )
     eof = amplitude * end_of_fiber_amp * rel**-1.0 * _gaussian_wavelet(
-        kernel_length, kernel_length - MUAP_EOF_MARGIN, MUAP_EOF_WIDTH, order=2
+        KERNEL_LENGTH, KERNEL_LENGTH - MUAP_EOF_MARGIN, MUAP_EOF_WIDTH, order=2
     )
     return prop, eof
 
 
-def generate_ecg_interferer(
-    bpm: float,
-    n: int,
-    sample_interval_s: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """QRS-plus-T pulse train at the given heart rate, 3% period jitter,
+def generate_ecg_interferer(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n samples of a QRS-plus-T pulse train at ECG_BPM, 3% period jitter,
     unit RMS."""
-    if not bpm > 0:
-        raise ParameterError(f"bpm must be positive, got {bpm}")
     out = np.zeros(n)
-    period = 60.0 / bpm
+    period = 60.0 / ECG_BPM
     t = 0.5 * period
     while True:
-        beat = t / sample_interval_s
+        beat = t / SAMPLE_INTERVAL_S
         if beat >= n:
             break
         for amp, offset_ms, width_ms in ECG_WAVE_PARTS:
-            c = beat + offset_ms * 1e-3 / sample_interval_s
-            w = width_ms * 1e-3 / sample_interval_s
+            c = beat + offset_ms * 1e-3 / SAMPLE_INTERVAL_S
+            w = width_ms * 1e-3 / SAMPLE_INTERVAL_S
             lo = max(0, int(c - 4 * w))
             hi = min(n, int(c + 4 * w) + 1)
             if hi > lo:
@@ -335,7 +328,7 @@ def mix(
         )
     n = sources.n_samples
     meta = SignalMetadata(
-        sources.sample_interval_s, tuple(f"sensor{p + 1}" for p in range(system.n_sensors))
+        SAMPLE_INTERVAL_S, tuple(f"sensor{p + 1}" for p in range(system.n_sensors))
     )
     images = []
     total = np.zeros((system.n_sensors, n))
@@ -353,15 +346,13 @@ def _source_signal(sc: SimScenario, q: int) -> np.ndarray:
     n = sc.n_samples
     rng = stream_rng(sc.seed, f"source/{q}")
     if kind == "emg_inspiratory":
-        env = cyclic_envelope(n, SAMPLE_INTERVAL_S, BREATH_PERIOD_S, 0.0, 0.45)
-        return generate_impulse_train(sc.firing_rates_hz[q], env, n, SAMPLE_INTERVAL_S, rng)
+        return generate_impulse_train(sc.firing_rates_hz[q], cyclic_envelope(n, 0.0, 0.45), rng)
     if kind == "emg_expiratory":
-        env = cyclic_envelope(n, SAMPLE_INTERVAL_S, BREATH_PERIOD_S, 0.5, 0.95)
-        return generate_impulse_train(sc.firing_rates_hz[q], env, n, SAMPLE_INTERVAL_S, rng)
+        return generate_impulse_train(sc.firing_rates_hz[q], cyclic_envelope(n, 0.5, 0.95), rng)
     if kind == "emg":
-        return generate_impulse_train(sc.firing_rates_hz[q], np.ones(n), n, SAMPLE_INTERVAL_S, rng)
+        return generate_impulse_train(sc.firing_rates_hz[q], np.ones(n), rng)
     if kind == "ecg":
-        return generate_ecg_interferer(ECG_BPM, n, SAMPLE_INTERVAL_S, rng)
+        return generate_ecg_interferer(n, rng)
     return rng.standard_normal(n)
 
 
@@ -393,13 +384,7 @@ def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.nda
             depth_eff = float(np.hypot(sc.source_depths_m[q], sc.lateral_attenuation * offset))
             if sc.mixing == "convolutive":
                 prop, eof = muap_kernel_components(
-                    depth_eff,
-                    offset,
-                    CONDUCTION_VELOCITY_M_S,
-                    SAMPLE_INTERVAL_S,
-                    l_mix,
-                    amplitude=jitter,
-                    end_of_fiber_amp=sc.end_of_fiber_amp,
+                    depth_eff, offset, amplitude=jitter, end_of_fiber_amp=sc.end_of_fiber_amp
                 )
                 out[p] = prop + eof
             else:
@@ -415,7 +400,7 @@ def build_scenario(sc: SimScenario) -> Simulation:
     """Deterministic synthesis for a fixed seed: sources, kernels, unit-gain
     images scaled to each kind's target RMS, and their sum as the mixture."""
     signals = np.stack([_source_signal(sc, q) for q in range(sc.n_sources)])
-    sources = SourceSet(signals, sc.source_kinds, SAMPLE_INTERVAL_S)
+    sources = SourceSet(signals, sc.source_kinds)
 
     kernel_rng = stream_rng(sc.seed, "kernels")
     kernels = np.stack([_source_kernels(sc, q, kernel_rng) for q in range(sc.n_sources)])

@@ -344,7 +344,7 @@ class TestCriterion5OracleEquivalence:
             signals = rng.standard_normal((p, n))
             kernels = rng.standard_normal((p, p, 4))
             gains = rng.uniform(0.5, 2.0, size=p)
-            sources = SourceSet(signals, ("noise",) * p, 1e-3)
+            sources = SourceSet(signals, ("noise",) * p)
             mixed, _ = mix(sources, MixingSystem(kernels), gains)
             fir_out = apply_mimo_fir(
                 DemixFilterBank(kernels), TimeSeries(signals, SignalMetadata(1e-3, ("x",) * p))

@@ -379,6 +379,10 @@ CORRUPT_RUN_REPORTS = {
     ),
     "string-matrix": lambda report: with_sphering(report, matrix="ab"),
     "not-an-object": lambda report: "[1, 2]",
+    "missing-iva": lambda report: json.dumps({k: v for k, v in report.items() if k != "iva"}),
+    "missing-refinement": lambda report: json.dumps(
+        {k: v for k, v in report.items() if k != "refinement"}
+    ),
 }
 
 

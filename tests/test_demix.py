@@ -136,6 +136,13 @@ class TestPipeline:
         with pytest.raises(ParameterError):
             PipelineConfig(filter_length=48)
 
+    @pytest.mark.parametrize("length", [True, 64.0])
+    def test_rejects_non_integer_length(self, length):
+        # True would pass the power-of-two test as L = 1, 64.0 fail it with a TypeError
+        with pytest.raises(ParameterError, match="must be an integer"):
+            PipelineConfig(filter_length=length)
+        assert PipelineConfig(filter_length=np.int64(64)).n_bins == 128
+
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_cutoff(self, cutoff):
         with pytest.raises(ParameterError, match="dc_cutoff_hz"):

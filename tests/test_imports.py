@@ -30,7 +30,8 @@ def test_every_imported_name_is_used(module):
 
 
 def _private_definitions(tree) -> set:
-    """Module-level private functions, classes and constants (no dunders)."""
+    """Module-level private functions, classes and constants (no dunders),
+    and public UPPER_CASE constants."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -38,12 +39,16 @@ def _private_definitions(tree) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return {
+        name for name in names
+        if name.startswith("_") and not name.startswith("__") or name.isupper()
+    }
 
 
 def test_every_private_definition_is_used():
-    # a private helper or constant left behind by a deletion is read nowhere
-    # in the package, neither in its own module nor through an import
+    # a private helper or constant, or a public constant, left behind by a
+    # deletion is read nowhere in the package, neither in its own module nor
+    # through an import
     trees = {
         m.__name__: ast.parse(Path(m.__file__).read_text(encoding="utf-8"))
         for m in [convsep, *MODULES]

@@ -88,6 +88,9 @@ class TestIvaConfig:
             {"convergence_tol": float("nan")},
             {"convergence_tol": float("inf")},
             {"step_size": float("nan")},
+            {"max_iterations": 2.5},
+            {"max_iterations": 200.0},
+            {"max_iterations": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -83,7 +83,7 @@ VALUE_TYPES = {
         lambda a: SpheringTransform(np.eye(2), a, 0.0), "eigenvalues", np.ones(2), ParameterError
     ),
     "SourceSet": (
-        lambda a: SourceSet(a, ("emg", "noise"), 1e-3), "signals", np.ones((2, 4)), ParameterError
+        lambda a: SourceSet(a, ("emg", "noise")), "signals", np.ones((2, 4)), ParameterError
     ),
     "MixingSystem": (MixingSystem, "kernels", np.ones((2, 2, 4)), ParameterError),
 }
@@ -185,6 +185,8 @@ class TestRawIO:
             {"channels": 0, "labels": []},
             {"samples": -2},
             {"labels": ["a"]},
+            {"sample_interval_s": 0.0},
+            {"sample_interval_s": float("inf")},
         ],
     )
     def test_header_values_are_strict(self, tmp_path, override):

@@ -6,6 +6,7 @@ import pytest
 from convsep.cli import main
 from convsep.errors import ParameterError
 from convsep.simulate import (
+    ECG_BPM,
     MixingSystem,
     SimScenario,
     SourceSet,
@@ -22,7 +23,7 @@ from convsep.simulate import (
     stream_rng,
 )
 
-TA = 0.976e-3
+TA = 0.976e-3  # the simulator's sample interval
 
 
 def naive_mix(signals, kernels, gains):
@@ -41,13 +42,13 @@ def naive_mix(signals, kernels, gains):
 
 class TestImpulseTrain:
     def test_zero_rate(self):
-        out = generate_impulse_train(0.0, np.ones(100), 100, TA, stream_rng(0, "t"))
+        out = generate_impulse_train(0.0, np.ones(100), stream_rng(0, "t"))
         assert np.all(out == 0.0)
 
     def test_spike_count_statistics(self):
         n = int(round(10.0 / TA))
         counts = [
-            int(generate_impulse_train(20.0, np.ones(n), n, TA, stream_rng(s, "t")).sum())
+            int(generate_impulse_train(20.0, np.ones(n), stream_rng(s, "t")).sum())
             for s in range(10)
         ]
         # ~200 expected; generous 3-sigma band for the jittered renewal process
@@ -57,25 +58,25 @@ class TestImpulseTrain:
         n = 4000
         env = np.zeros(n)
         env[: n // 2] = 1.0
-        out = generate_impulse_train(30.0, env, n, TA, stream_rng(1, "t"))
+        out = generate_impulse_train(30.0, env, stream_rng(1, "t"))
         assert out[n // 2 :].sum() == 0.0
         assert out[: n // 2].sum() > 0
 
 
 class TestMuapKernel:
     def test_zero_amplitude(self):
-        prop, eof = muap_kernel_components(0.01, 0.0, 4.0, TA, 16, amplitude=0.0)
+        prop, eof = muap_kernel_components(0.01, 0.0, amplitude=0.0)
         assert np.all(prop == 0.0) and np.all(eof == 0.0)
 
     def test_support_is_kernel_length(self):
-        for part in muap_kernel_components(0.01, 0.01, 4.0, TA, 16):
+        for part in muap_kernel_components(0.01, 0.01):
             assert part.shape == (16,)
             assert np.all(np.isfinite(part))
 
     def test_depth_ratios(self):
         # direct evaluation of the two wavelet amplitudes: alpha=2 vs beta=1
-        p1, e1 = muap_kernel_components(0.01, 0.0, 4.0, TA, 16)
-        p2, e2 = muap_kernel_components(0.02, 0.0, 4.0, TA, 16)
+        p1, e1 = muap_kernel_components(0.01, 0.0)
+        p2, e2 = muap_kernel_components(0.02, 0.0)
         np.testing.assert_allclose(np.abs(p2).max() / np.abs(p1).max(), 0.25, rtol=1e-12)
         np.testing.assert_allclose(np.abs(e2).max() / np.abs(e1).max(), 0.5, rtol=1e-12)
 
@@ -83,7 +84,7 @@ class TestMuapKernel:
         depths = [0.008, 0.01, 0.015, 0.02, 0.03]
         peaks, ratios = [], []
         for d in depths:
-            prop, eof = muap_kernel_components(d, 0.0, 4.0, TA, 16)
+            prop, eof = muap_kernel_components(d, 0.0)
             peaks.append(np.abs(prop).max())
             ratios.append(np.abs(eof).max() / np.abs(prop).max())
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
@@ -91,25 +92,24 @@ class TestMuapKernel:
 
     def test_delay_too_long(self):
         with pytest.raises(ParameterError):
-            muap_kernel_components(0.01, 0.1, 4.0, TA, 16)
+            muap_kernel_components(0.01, 0.1)
 
     @pytest.mark.parametrize(
-        "depth, offset, length, match",
+        "depth, offset, match",
         [
-            (0.0, 0.0, 16, "depth"),
-            (-0.01, 0.0, 16, "depth"),
-            (0.01, 0.0, 7, "kernel length"),
-            (0.01, -0.001, 16, "offset"),
+            (0.0, 0.0, "depth"),
+            (-0.01, 0.0, "depth"),
+            (0.01, -0.001, "offset"),
         ],
     )
-    def test_rejects_bad_arguments(self, depth, offset, length, match):
+    def test_rejects_bad_arguments(self, depth, offset, match):
         with pytest.raises(ParameterError, match=match):
-            muap_kernel_components(depth, offset, 4.0, TA, length)
+            muap_kernel_components(depth, offset)
 
     def test_offset_sets_delay(self):
         offset = 0.0156  # ~4 samples at 4 m/s
-        near, _ = muap_kernel_components(0.01, 0.0, 4.0, TA, 32, end_of_fiber_amp=0.0)
-        far, _ = muap_kernel_components(0.01, offset, 4.0, TA, 32, end_of_fiber_amp=0.0)
+        near, _ = muap_kernel_components(0.01, 0.0, end_of_fiber_amp=0.0)
+        far, _ = muap_kernel_components(0.01, offset, end_of_fiber_amp=0.0)
         xcorr = np.correlate(far, near, mode="full")
         lag = int(np.argmax(xcorr)) - (len(near) - 1)
         assert lag == 4
@@ -117,8 +117,8 @@ class TestMuapKernel:
 
 class TestEcg:
     def test_short_signal_single_pulse(self):
-        n = int(round(0.6 / TA))  # below one 60-bpm period
-        out = generate_ecg_interferer(60.0, n, TA, stream_rng(2, "ecg"))
+        n = int(round(0.9 * 60.0 / ECG_BPM / TA))  # below one heart period
+        out = generate_ecg_interferer(n, stream_rng(2, "ecg"))
         # at most one R peak: count local maxima above half the global peak
         peak = np.abs(out).max()
         above = np.abs(out) > 0.9 * peak
@@ -126,14 +126,15 @@ class TestEcg:
 
     def test_pulse_count(self):
         n = int(round(10.0 / TA))
-        out = generate_ecg_interferer(60.0, n, TA, stream_rng(3, "ecg"))
+        out = generate_ecg_interferer(n, stream_rng(3, "ecg"))
         peak = out.max()
         crossings = np.flatnonzero((out[1:] > 0.5 * peak) & (out[:-1] <= 0.5 * peak))
-        assert 9 <= len(crossings) <= 11
+        beats = round(10.0 * ECG_BPM / 60.0)  # 12 at 70 bpm
+        assert beats - 1 <= len(crossings) <= beats + 1
 
     def test_unit_rms(self):
         n = int(round(20.0 / TA))
-        out = generate_ecg_interferer(70.0, n, TA, stream_rng(4, "ecg"))
+        out = generate_ecg_interferer(n, stream_rng(4, "ecg"))
         np.testing.assert_allclose(np.sqrt(np.mean(out**2)), 1.0, rtol=1e-12)
 
 
@@ -141,10 +142,11 @@ class TestMix:
     def test_delta_kernel_identity(self):
         rng = stream_rng(6, "s")
         sig = rng.standard_normal((1, 50))
-        sources = SourceSet(sig, ("noise",), TA)
+        sources = SourceSet(sig, ("noise",))
         kernels = np.zeros((1, 1, 8))
         kernels[0, 0, 0] = 1.0
         mixed, images = mix(sources, MixingSystem(kernels), [1.0])
+        assert mixed.meta.sample_interval_s == TA
         np.testing.assert_array_equal(mixed.data[0], sig[0])
         np.testing.assert_array_equal(images[0].data, mixed.data)
 
@@ -152,7 +154,7 @@ class TestMix:
         rng = stream_rng(7, "s")
         sig = rng.standard_normal((2, 60))
         kernels = rng.standard_normal((2, 2, 4))
-        sources = SourceSet(sig, ("noise", "noise"), TA)
+        sources = SourceSet(sig, ("noise", "noise"))
         system = MixingSystem(kernels)
         both, _ = mix(sources, system, [1.0, 1.0])
         only1, _ = mix(sources, system, [1.0, 0.0])
@@ -164,7 +166,7 @@ class TestMix:
         sig = rng.standard_normal((2, 40))
         kernels = rng.standard_normal((2, 3, 4))
         gains = [0.7, -1.3]
-        sources = SourceSet(sig, ("noise", "noise"), TA)
+        sources = SourceSet(sig, ("noise", "noise"))
         mixed, images = mix(sources, MixingSystem(kernels), gains)
         np.testing.assert_allclose(mixed.data, naive_mix(sig, kernels, gains), atol=1e-12)
 
@@ -178,14 +180,14 @@ class TestMix:
 class TestEnvelope:
     def test_antiphase_no_overlap(self):
         n = 10000
-        insp = cyclic_envelope(n, TA, 4.0, 0.0, 0.45)
-        exp = cyclic_envelope(n, TA, 4.0, 0.5, 0.95)
+        insp = cyclic_envelope(n, 0.0, 0.45)
+        exp = cyclic_envelope(n, 0.5, 0.95)
         overlap = np.sum((insp > 0) & (exp > 0)) / n
         assert overlap < 0.05
 
     def test_invalid_window(self):
         with pytest.raises(ParameterError):
-            cyclic_envelope(100, TA, 4.0, 0.5, 0.4)
+            cyclic_envelope(100, 0.5, 0.4)
 
 
 class TestBuildScenario:
@@ -255,17 +257,30 @@ class TestBuildScenario:
         with pytest.raises(ParameterError, match="sensor_spacing_m"):
             respiratory_scenario(sensor_spacing_m=-0.015)
 
-    def test_ecg_bpm_must_be_positive(self):
-        # every scenario's heart rate is ECG_BPM; only the generator takes another
-        for bpm in (0.0, -70.0):
-            with pytest.raises(ParameterError, match="bpm"):
-                generate_ecg_interferer(bpm, 100, TA, stream_rng(0, "ecg"))
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"n_sources": 4.0}, "n_sources"),
+            ({"n_sources": True}, "n_sources"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_non_integer_count_or_seed_rejected_at_construction(self, overrides, key):
+        # construction only: the CLI reads an integral JSON float such as 4.0 as 4
+        with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+            SimScenario(**overrides)
+        assert SimScenario(n_sources=np.int64(4), seed=np.int64(1)).seed == 1
 
     def test_propagation_delay_checked_at_construction(self):
         # 2 + 3 * d / (4 * 0.976e-3) <= 15 holds up to d = 0.016917 m
         build_scenario(respiratory_scenario(sensor_spacing_m=0.0169, duration_s=2.0))
         with pytest.raises(ParameterError, match="sensor_spacing_m"):
             respiratory_scenario(sensor_spacing_m=0.0170)
+        # the kernel builder draws the same line at the same offsets, 3 sensors away
+        muap_kernel_components(0.01, 3 * 0.0169)
+        with pytest.raises(ParameterError, match="16-tap kernel"):
+            muap_kernel_components(0.01, 3 * 0.0170)
         # no propagating MUAP kernel is built, so no delay has to fit
         respiratory_scenario(sensor_spacing_m=0.05, mixing="instantaneous")
         SimScenario(
