@@ -112,6 +112,80 @@ class SeparationReport:
         return dataclasses.asdict(self)
 
 
+def _check_images(bank: DemixFilterBank, images: list) -> None:
+    """Every image must have the first one's shape, and the bank's channels."""
+    if not images:
+        raise ParameterError("need at least one source image")
+    first = images[0]
+    for q, img in enumerate(images):
+        if img.data.shape != first.data.shape:
+            raise ParameterError(
+                f"image {q} is {img.n_channels} channels x {img.n_samples} samples, "
+                f"image 0 is {first.n_channels} x {first.n_samples}"
+            )
+    if first.n_channels != bank.n_channels:
+        raise ParameterError(f"image has {first.n_channels} channels, bank expects {bank.n_channels}")
+
+
+def _check_search_size(n_sources: int) -> None:
+    if n_sources > MAX_ASSIGNMENT_CHANNELS:
+        raise ParameterError(
+            f"assignment search supports at most {MAX_ASSIGNMENT_CHANNELS} channels, got {n_sources}"
+        )
+
+
+def _sensor_power_and_reference(data: np.ndarray, transient: int) -> tuple[np.ndarray, np.ndarray]:
+    """An image's power at each sensor past the transient, and its strongest
+    sensor's row there (SDR's reference)."""
+    tail = data[:, transient:]
+    power = np.sum(tail**2, axis=1)
+    return power, tail[int(np.argmax(power))]
+
+
+def _output_power(contributions: np.ndarray, transient: int) -> np.ndarray:
+    """Power of each output row past the transient, with no squared copy."""
+    tail = contributions[..., transient:]
+    return np.vecdot(tail, tail)
+
+
+def _assign(power: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The permutation maximizing the total capped SIR of a (source, output)
+    power table, and each output's SIR under it."""
+    if float(power.sum()) == 0.0:
+        raise UndefinedSirError("all contributions are zero")
+    n_src = power.shape[0]
+    ratios = _own_vs_rest_db(power)
+    best = None
+    for perm in itertools.permutations(range(n_src)):
+        sirs = [ratios[perm[out]][out] for out in range(n_src)]
+        total = sum(sirs)
+        if best is None or total > best[0]:
+            best = (total, perm, sirs)
+    _, perm, sirs = best
+    return tuple(perm), tuple(sirs)
+
+
+def _sdr(outputs: np.ndarray, refs, assignment: tuple[int, ...], transient: int) -> tuple[float, ...]:
+    """Scale-optimal SDR of each output row against refs[its source]."""
+    values = []
+    for out, src in enumerate(assignment):
+        ref = refs[src]
+        y = outputs[out, transient:]
+        ref_power = float(ref @ ref)
+        if ref_power == 0.0:
+            values.append(-DB_CAP)
+            continue
+        alpha = float(y @ ref) / ref_power
+        target = alpha * ref
+        residual = y - target
+        values.append(_db_ratio(float(target @ target), float(residual @ residual)))
+    return tuple(values)
+
+
+def _input_sir(sensor_power: np.ndarray) -> tuple[float, ...]:
+    return tuple(max(row) for row in _own_vs_rest_db(sensor_power))
+
+
 def project_images(
     bank: DemixFilterBank, sphering: SpheringTransform, images: list
 ) -> np.ndarray:
@@ -121,14 +195,9 @@ def project_images(
     Returns contributions[q, j] = what source q contributes to output j;
     their sum over q equals the pipeline output by linearity.
     """
-    if not images:
-        raise ParameterError("need at least one source image")
+    _check_images(bank, images)
     contributions = np.empty((len(images), bank.n_channels, images[0].n_samples))
     for q, img in enumerate(images):
-        if img.n_channels != bank.n_channels:
-            raise ParameterError(
-                f"image has {img.n_channels} channels, bank expects {bank.n_channels}"
-            )
         contributions[q] = apply_mimo_fir(bank, apply_sphering(sphering, img)).data
     return contributions
 
@@ -143,22 +212,8 @@ def sir(contributions: np.ndarray, transient: int = 0) -> tuple[tuple[int, ...],
     contributions = np.asarray(contributions, dtype=np.float64)
     if contributions.ndim != 3 or contributions.shape[0] != contributions.shape[1]:
         raise ParameterError(f"contributions must be (sources, outputs, samples), got {contributions.shape}")
-    n_src = contributions.shape[0]
-    if n_src > MAX_ASSIGNMENT_CHANNELS:
-        raise ParameterError(f"assignment search supports at most {MAX_ASSIGNMENT_CHANNELS} channels")
-    tail = contributions[:, :, transient:]
-    power = np.vecdot(tail, tail)  # (source, output), no squared copy
-    if float(power.sum()) == 0.0:
-        raise UndefinedSirError("all contributions are zero")
-    ratios = _own_vs_rest_db(power)
-    best = None
-    for perm in itertools.permutations(range(n_src)):
-        sirs = [ratios[perm[out]][out] for out in range(n_src)]
-        total = sum(sirs)
-        if best is None or total > best[0]:
-            best = (total, perm, sirs)
-    _, perm, sirs = best
-    return tuple(perm), tuple(sirs)
+    _check_search_size(contributions.shape[0])
+    return _assign(_output_power(contributions, transient))
 
 
 def sdr(
@@ -169,28 +224,14 @@ def sdr(
 ) -> tuple[float, ...]:
     """Scale-optimal SDR per output against the assigned source's sensor
     image at its strongest sensor."""
-    contributions = np.asarray(contributions, dtype=np.float64)
-    outputs = contributions.sum(axis=0)  # (outputs, samples)
-    values = []
-    for out, src in enumerate(assignment):
-        img = images[src].data[:, transient:]
-        ref = img[int(np.argmax(np.sum(img**2, axis=1)))]
-        y = outputs[out, transient:]
-        ref_power = float(ref @ ref)
-        if ref_power == 0.0:
-            values.append(-DB_CAP)
-            continue
-        alpha = float(y @ ref) / ref_power
-        target = alpha * ref
-        residual = y - target
-        values.append(_db_ratio(float(target @ target), float(residual @ residual)))
-    return tuple(values)
+    outputs = np.asarray(contributions, dtype=np.float64).sum(axis=0)  # (outputs, samples)
+    refs = {src: _sensor_power_and_reference(images[src].data, transient)[1] for src in assignment}
+    return _sdr(outputs, refs, assignment, transient)
 
 
 def input_sir(images: list, transient: int = 0) -> tuple[float, ...]:
     """Per source, the SIR at its best unprocessed sensor."""
-    power = np.stack([np.sum(img.data[:, transient:] ** 2, axis=1) for img in images])
-    return tuple(max(row) for row in _own_vs_rest_db(power))
+    return _input_sir(np.stack([_sensor_power_and_reference(img.data, transient)[0] for img in images]))
 
 
 def trace_summary(trace: ConvergenceTrace | None) -> dict | None:
@@ -217,14 +258,36 @@ def evaluate_separation(
 ) -> SeparationReport:
     """Full report: assignment, SIR, SDR, and improvement over the best
     unprocessed sensor, skipping the filter transient (the first filter
-    length of samples)."""
+    length of samples).
+
+    The figures of highpassing every image, then project_images, sir, sdr
+    and input_sir, taken one source at a time: no array holds every
+    source's highpassed image or contribution."""
+    _check_images(bank, images)
+    n_src = len(images)
+    if n_src != bank.n_channels:
+        raise ParameterError(f"{n_src} source images for a bank of {bank.n_channels} channels")
+    _check_search_size(n_src)
     transient = bank.filter_length
-    if dc_cutoff_hz is not None:
-        images = [highpass_dc_removal(img, dc_cutoff_hz) for img in images]
-    contributions = project_images(bank, sphering, images)
-    assignment, sir_db = sir(contributions, transient)
-    sdr_db = sdr(contributions, images, assignment, transient)
-    in_sir = input_sir(images, transient)
+    sensor_power = np.empty((n_src, images[0].n_channels))
+    output_power = np.empty((n_src, bank.n_channels))
+    refs = []
+    for q, img in enumerate(images):
+        if dc_cutoff_hz is not None:
+            img = highpass_dc_removal(img, dc_cutoff_hz)
+        sensor_power[q], ref = _sensor_power_and_reference(img.data, transient)
+        refs.append(ref.copy())
+        contribution = apply_mimo_fir(bank, apply_sphering(sphering, img)).data
+        output_power[q] = _output_power(contribution, transient)
+        # adds the sources in order, as contributions.sum(axis=0) does
+        if q == 0:
+            outputs = contribution.copy()  # the contribution is read-only
+        else:
+            outputs += contribution
+        del contribution  # not alive through the next source's projection
+    assignment, sir_db = _assign(output_power)
+    sdr_db = _sdr(outputs, refs, assignment, transient)
+    in_sir = _input_sir(sensor_power)
     per_output_input = tuple(in_sir[src] for src in assignment)
     improvement = tuple(o - i for o, i in zip(sir_db, per_output_input))
     return SeparationReport(

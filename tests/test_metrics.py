@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from convsep import metrics
 from convsep.demix import PipelineConfig, apply_mimo_fir, demix_pipeline
 from convsep.errors import ParameterError, UndefinedSirError
 from convsep.iva import IvaConfig
@@ -18,10 +19,11 @@ from convsep.metrics import (
     project_images,
     sdr,
     sir,
+    trace_summary,
     write_envelopes_csv,
 )
 from convsep.signal import SignalMetadata, TimeSeries, highpass_dc_removal
-from convsep.simulate import build_scenario, delayed_pair_scenario
+from convsep.simulate import build_scenario, delayed_pair_scenario, respiratory_scenario
 from convsep.spectral import DemixFilterBank
 from convsep.sphering import SpheringTransform, apply_sphering
 
@@ -135,11 +137,38 @@ class TestSir:
         assert traced_peak(sir, contrib, 64) <= 0.1 * contrib.nbytes
 
 
+def count_calls(monkeypatch, *names):
+    """Replace each named convsep.metrics attribute, where a tracer would
+    wrap it, by a wrapper that counts its calls; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(metrics, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, counted)
+    return counts
+
+
+def ones_image(n_channels, n_samples):
+    return TimeSeries(
+        np.ones((n_channels, n_samples)),
+        SignalMetadata(1e-3, tuple(f"c{p}" for p in range(n_channels))),
+    )
+
+
 IDENTITY_BANK = DemixFilterBank.identity(2, 4)
 THREE_CHANNEL_IMAGE = TimeSeries(np.ones((3, 8)), SignalMetadata(1e-3, ("a", "b", "c")))
 # output 2 receives nothing from any source, output 1 something from both
 SILENT_OUTPUT = np.zeros((2, 2, 8))
 SILENT_OUTPUT[:, 0] = 1.0
+
+
+def evaluate_images(images, bank=IDENTITY_BANK):
+    """evaluate_separation with an identity sphering and a 15 Hz highpass."""
+    return evaluate_separation(
+        bank, SpheringTransform.identity(bank.n_channels), images, dc_cutoff_hz=15.0
+    )
 
 
 @pytest.mark.parametrize(
@@ -165,15 +194,45 @@ SILENT_OUTPUT[:, 0] = 1.0
             "sir_db must have 2",
         ),
         (lambda: sir(SILENT_OUTPUT), UndefinedSirError, "both signal and interference"),
+        (
+            lambda: evaluate_images([ones_image(2, 500), ones_image(2, 400)]),
+            ParameterError,
+            "image 1 is 2 channels x 400 samples, image 0 is 2 x 500",
+        ),
+        (
+            lambda: evaluate_images([ones_image(2, 500), ones_image(3, 500)]),
+            ParameterError,
+            "image 1 is 3 channels x 500 samples",
+        ),
+        (
+            lambda: evaluate_images([THREE_CHANNEL_IMAGE, THREE_CHANNEL_IMAGE]),
+            ParameterError,
+            "image has 3 channels, bank expects 2",
+        ),
+        (
+            lambda: evaluate_images([ones_image(2, 500)] * 7),
+            ParameterError,
+            "7 source images for a bank of 2 channels",
+        ),
+        (
+            lambda: evaluate_images([ones_image(7, 500)] * 7, DemixFilterBank.identity(7, 4)),
+            ParameterError,
+            "at most 6 channels, got 7",
+        ),
     ],
     ids=[
         "project-no-images", "project-channel-mismatch", "sir-2d", "sir-not-square",
-        "report-short-field", "sir-silent-output",
+        "report-short-field", "sir-silent-output", "evaluate-unequal-samples",
+        "evaluate-unequal-channels", "evaluate-channel-mismatch", "evaluate-count-vs-bank",
+        "evaluate-too-many-sources",
     ],
 )
-def test_rejects_malformed_inputs(call, error, match):
+def test_rejects_malformed_inputs(monkeypatch, call, error, match):
+    # every input is rejected before anything is filtered
+    counts = count_calls(monkeypatch, "highpass_dc_removal", "apply_mimo_fir")
     with pytest.raises(error, match=match):
         call()
+    assert counts == {"highpass_dc_removal": 0, "apply_mimo_fir": 0}
 
 
 class TestProjectImages:
@@ -231,6 +290,29 @@ class TestProjectImages:
         image_bytes = images[0].data.nbytes
         peak = traced_peak(project_images, bank, transform, images)
         assert peak <= len(images) * image_bytes + 3 * image_bytes
+
+
+def test_evaluate_separation_peak_memory_within_six_images(traced_peak):
+    # one source at a time: its highpassed image, sphered image and
+    # contribution, the output sum and the reference rows; holding every
+    # highpassed image and every contribution at once took 10.5 images
+    rng = np.random.default_rng(7)
+    meta = SignalMetadata(1e-3, ("c1", "c2", "c3", "c4"))
+    images = [TimeSeries(rng.standard_normal((4, 61_475)), meta) for _ in range(4)]
+    bank = DemixFilterBank(rng.standard_normal((4, 4, 64)))
+    transform = SpheringTransform.identity(4)
+    peak = traced_peak(evaluate_separation, bank, transform, images, 15.0)
+    assert peak <= 6 * images[0].data.nbytes
+
+
+def test_evaluate_separation_filters_each_source_once(monkeypatch):
+    # perfbench's signal.highpass_dc_removal, sphering.apply_sphering and
+    # demix.apply_mimo_fir spans wrap these convsep.metrics attributes
+    names = ("highpass_dc_removal", "apply_sphering", "apply_mimo_fir")
+    counts = count_calls(monkeypatch, *names)
+    images, _, bank, transform = TestProjectImages()._setup(seed=3)
+    evaluate_separation(bank, transform, images, dc_cutoff_hz=15.0)
+    assert counts == dict.fromkeys(names, len(images))
 
 
 class TestSdr:
@@ -313,7 +395,63 @@ class TestPhysicalPathLength:
             physical_path_length(0)
 
 
+def public_steps_report(bank, sphering, images, dc_cutoff_hz, trace=None) -> dict:
+    """The report assembled from the public steps: highpass every image,
+    then project_images, sir, sdr and input_sir over all sources at once."""
+    transient = bank.filter_length
+    if dc_cutoff_hz is not None:
+        images = [highpass_dc_removal(img, dc_cutoff_hz) for img in images]
+    contributions = project_images(bank, sphering, images)
+    assignment, sir_db = sir(contributions, transient)
+    sdr_db = sdr(contributions, images, assignment, transient)
+    in_sir = input_sir(images, transient)
+    per_output_input = tuple(in_sir[src] for src in assignment)
+    return SeparationReport(
+        assignment=assignment,
+        sir_db=sir_db,
+        sdr_db=sdr_db,
+        sir_improvement_db=tuple(o - i for o, i in zip(sir_db, per_output_input)),
+        input_sir_db=per_output_input,
+        convergence=trace_summary(trace),
+    ).to_dict()
+
+
 class TestEvaluateSeparation:
+    @pytest.mark.parametrize("dc_cutoff_hz", [None, 15.0])
+    def test_equals_public_steps(self, dc_cutoff_hz):
+        sim = build_scenario(respiratory_scenario(seed=0, duration_s=20.0))
+        cfg = PipelineConfig(
+            filter_length=64,
+            dc_cutoff_hz=dc_cutoff_hz,
+            iva=IvaConfig(step_size=0.003, max_iterations=20),
+        )
+        result = demix_pipeline(sim.mixed, cfg)
+        args = (result.bank, result.sphering, sim.images, dc_cutoff_hz, result.trace)
+        assert evaluate_separation(*args).to_dict() == public_steps_report(*args)
+
+    def test_equals_public_steps_with_a_silent_source(self):
+        # the inverse of an instantaneous mixing caps the active sources'
+        # SIR at +DB_CAP; the silent source's output sits at -DB_CAP, and
+        # its zero reference gives the -DB_CAP SDR
+        rng = np.random.default_rng(11)
+        mixing = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+        sources = rng.standard_normal((3, 500))
+        sources[1] = 0.0
+        meta = SignalMetadata(1e-3, ("a", "b", "c"))
+        images = [TimeSeries(np.outer(mixing[:, q], sources[q]), meta) for q in range(3)]
+        args = (
+            DemixFilterBank(np.linalg.inv(mixing)[:, :, None]),
+            SpheringTransform.identity(3),
+            images,
+            15.0,
+        )
+        report = evaluate_separation(*args).to_dict()
+        assert report == public_steps_report(*args)
+        silent_output = report["assignment"].index(1)
+        assert report["sir_db"][silent_output] == -DB_CAP
+        assert report["sdr_db"][silent_output] == -DB_CAP
+        assert report["sir_db"].count(DB_CAP) == 2
+
     def test_report_fields_consistent(self):
         sim = build_scenario(delayed_pair_scenario(seed=1, duration_s=20.0))
         cfg = PipelineConfig(filter_length=16, iva=IvaConfig(step_size=0.01, max_iterations=80))
