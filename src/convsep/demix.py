@@ -1,5 +1,10 @@
 """Time-domain application of the learned MIMO FIR system and the
 sphering + separation pipeline built on top of it.
+
+apply_mimo_fir runs the causal bank as block-Toeplitz matrix products
+(spectral._mimo_fir, shared with the refinement): a few BLAS products per
+call instead of one convolution per (output, input) pair, exact for an
+identity bank and for pure delays.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from .errors import ParameterError
 from .iva import ConvergenceTrace, IvaConfig, run_iva
 from .refine import RefinementTrace, refine_bank
 from .signal import TimeSeries, highpass_dc_removal
-from .spectral import DemixFilterBank, _is_power_of_two, center, stft
+from .spectral import DemixFilterBank, _is_power_of_two, _mimo_fir, center, stft
 from .sphering import (
     SpheringTransform,
     apply_sphering,
@@ -84,12 +89,7 @@ def apply_mimo_fir(bank: DemixFilterBank, ts: TimeSeries) -> TimeSeries:
         raise ParameterError(
             f"bank has {bank.n_channels} channels, signal has {ts.n_channels}"
         )
-    n = ts.n_samples
-    out = np.zeros((bank.n_channels, n))
-    for q in range(bank.n_channels):
-        for p in range(ts.n_channels):
-            out[q] += np.convolve(ts.data[p], bank.coeffs[q, p])[:n]
-    return ts.with_data(out)
+    return ts.with_data(_mimo_fir(bank.coeffs, ts.data))
 
 
 def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:

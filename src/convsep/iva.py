@@ -230,7 +230,8 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
             else:
                 z = w_real @ source[:, :, blocks]
                 sq = np.square(z)
-                inv = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1).sum(axis=0)
+                halves = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1)
+                inv = halves[0] if parts == 1 else halves[0] + halves[1]
                 np.sqrt(inv, out=inv)
                 inv += _NORM_GUARD
             np.divide(1.0, inv, out=inv)

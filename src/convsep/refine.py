@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import DemixFilterBank
+from .spectral import DemixFilterBank, _mimo_fir
 
 __all__ = [
     "MIN_BLOCK",
@@ -90,10 +90,11 @@ class RefinementTrace:
 
 
 def _block_powers(y: np.ndarray, block: int) -> np.ndarray:
-    """Mean square of y over consecutive blocks; the last may be short."""
+    """Mean square of y over consecutive blocks; the last may be short.
+    Squares y in place, so an output costs one signal-sized array, not two."""
     n = y.shape[-1]
     n_blocks = -(-n // block)
-    sums = np.add.reduceat(y * y, np.arange(n_blocks) * block, axis=-1)
+    sums = np.add.reduceat(np.square(y, out=y), np.arange(n_blocks) * block, axis=-1)
     counts = np.minimum(block, n - np.arange(n_blocks) * block)
     return sums / counts
 
@@ -116,7 +117,7 @@ def block_contrast(y: np.ndarray, block: int) -> float:
     The more the output's power varies from block to block, the lower the
     value; a stationary output sits near 0.
     """
-    return _contrast(_block_powers(np.asarray(y, dtype=np.float64), block))
+    return _contrast(_block_powers(np.array(y, dtype=np.float64), block))
 
 
 def _contrast_drop_z(before: np.ndarray, after: np.ndarray) -> float:
@@ -204,12 +205,7 @@ class LaggedStatistics:
 
     def output(self, row: np.ndarray) -> np.ndarray:
         """y(n) = row^T X(n) for one bank row of length P*L."""
-        p, n = self.x.shape
-        taps = row.reshape(p, self.filter_length)
-        y = np.zeros(n)
-        for c in range(p):
-            y += np.convolve(self.x[c], taps[c])[:n]
-        return y
+        return _mimo_fir(row.reshape(1, self.x.shape[0], self.filter_length), self.x)[0]
 
 
 def refine_bank(
