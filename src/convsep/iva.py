@@ -7,15 +7,17 @@ rescaling. Bins are tied together only through the normalization, which
 is what sidesteps the narrowband permutation ambiguity.
 
 run_iva runs the loop on plain arrays: bins 0..L of the real input's
-conjugate-symmetric spectrum, laid out once in float64 as (bins, 2 *
+conjugate-symmetric spectrum, laid out once in float32 as (bins, 2 *
 channels, blocks) with rows [Re X; Im X], and with the interior bins
 counted twice in every mean over bins. Each iteration is one pass over
 that mixture X in chunks of blocks of about _CHUNK_BYTES, all in real
-arithmetic: per chunk, the stacked outputs [Re Y; Im Y] from the real
-block form of W, their broadband norms, the score and the real Gram sum
-from which the bracket is read, so no outputs array of the frames' size
-is ever held. The chunks bound memory only; they buy no speed.
-The score Y / ||Y|| does not depend on scale, so its guard _NORM_GUARD is
+arithmetic of the mixture's dtype: per chunk, the stacked outputs
+[Re Y; Im Y] from the real block form of W, their broadband norms, the
+score and the chunk's Gram matrix, which is summed across chunks in
+float64; so no outputs array of the frames' size is ever held. The
+chunks bound memory only; they buy no speed. The bank, the bracket and
+minimum_distortion stay float64 (complex128). The score Y / ||Y|| does
+not depend on scale, so its guard is the dtype's smallest normal number,
 an absolute floor that only keeps a silent block's 0/0 at 0. When every
 kept bin is exactly real (L = 1: DC and Nyquist only) the rows are X
 alone and the bank stays float64.
@@ -56,10 +58,6 @@ _MAX_CONDITION = 1e14
 # at L = 64 on 2 cores, but held outputs the size of the frames; reused
 # chunk buffers ran no faster than fresh temporaries)
 _CHUNK_BYTES = 1 << 19
-# added to every broadband norm in update_step: the smallest normal float,
-# so a silent block's score is 0 / tiny = 0 and any other block's is
-# bounded (|Y_v| / ||Y|| <= sqrt(M)), and the score stays scale-invariant
-_NORM_GUARD = np.finfo(np.float64).tiny
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
 _SYMMETRY_RTOL = 1e-10
@@ -97,12 +95,13 @@ class IterationState:
 
     outputs is either SpectralFrames of the outputs, (channels, blocks,
     bins), every bin weighted 1, with norms their (blocks, channels)
-    broadband norms; or, as run_iva passes it, the half spectrum X of the
-    mixture as a float64 (bins, K * channels, blocks) array, rows
-    [Re X; Im X] for a complex bank (K = 2) or X for a float64 one (K = 1),
-    from which update_step forms the outputs W X chunk by chunk. Then norms
-    is None, and each kept bin counts for the full-spectrum bins it stands
-    for (1, 2, ..., 2, 1). filters holds one matrix per bin of outputs.
+    broadband norms; or the half spectrum X of the mixture as a float32
+    (as run_iva passes it) or float64 (bins, K * channels, blocks) array,
+    rows [Re X; Im X] for a complex bank (K = 2) or X for a float64 one
+    (K = 1), from which update_step forms the outputs W X chunk by chunk in
+    that dtype. Then norms is None, and each kept bin counts for the
+    full-spectrum bins it stands for (1, 2, ..., 2, 1). filters holds one
+    matrix per bin of outputs, float64 or complex128 in either case.
     """
 
     filters: FrequencyFilterBank
@@ -172,14 +171,21 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     i (G_ba - G_ab) from the blocks of G. Given the stacked mixture, Z is
     [[Re W, -Im W], [Im W, Re W]] (W for a float64 bank) times it, and the
     broadband norms are formed there too, with the half spectrum's interior
-    bins weighted 2. Every norm is guarded by _NORM_GUARD, the smallest
-    normal float.
+    bins weighted 2. The mixture's dtype, float32 or float64, is the dtype
+    of that pass: Z, the norms, the score and each chunk's G. The sum of G
+    over the chunks, the bracket and the new bank are float64 (complex128)
+    either way. Every norm is guarded by the smallest normal number of the
+    pass's dtype.
     Returns the new bank plus the bin-weighted mean and the max Frobenius
     norm of the bracketed term over bins (the convergence-trace entries).
     Raises ParameterError when given outputs differ from the bank in bins
     or channels or lack non-negative (blocks, channels) norms, or when the
-    mixture is not float64 with K x the bank's channels as rows (K = 2 for
-    a complex bank, 1 for a float64 one).
+    mixture is not float32 or float64 with K x the bank's channels as rows
+    (K = 2 for a complex bank, 1 for a float64 one). Raises
+    NumericalDivergenceError, naming the iteration and a bin, when the new
+    bank is not finite or when a block's broadband norm formed from the
+    mixture overflows (its outputs past about 1.8e19 in float32, 1.3e154
+    in float64), which would otherwise drop the block from the mean.
     """
     response = state.filters.response
     n_bins, channels = response.shape[:2]
@@ -202,22 +208,26 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
         parts = 1 if response.dtype == np.float64 else 2
         source = state.outputs
         expected = (n_bins, parts * channels)
-        if source.ndim != 3 or source.shape[:2] != expected or source.dtype != np.float64:
+        dtype_ok = source.dtype in (np.float32, np.float64)
+        if source.ndim != 3 or source.shape[:2] != expected or not dtype_ok:
             raise ParameterError(
-                f"a {response.dtype} bank of shape {response.shape} needs a float64 mixture "
-                f"of shape ({expected[0]}, {expected[1]}, blocks), got {source.dtype} {source.shape}"
+                f"a {response.dtype} bank of shape {response.shape} needs a float32 or float64 "
+                f"mixture of shape ({expected[0]}, {expected[1]}, blocks), "
+                f"got {source.dtype} {source.shape}"
             )
         n_blocks = source.shape[2]
         w_real = response
         if parts == 2:
             w_real = np.block([[response.real, -response.imag], [response.imag, response.real]])
+        w_real = w_real.astype(source.dtype)
+    finfo = np.finfo(source.dtype)  # of the pass: float64 for complex outputs
     weights = np.ones(n_bins)
     if not outputs_given:
         weights[1:-1] = 2.0
-    scale = weights / weights.sum()
+    scale = (weights / weights.sum()).astype(finfo.dtype)
     rows = parts * channels
     split = (n_bins, parts, channels, -1)
-    step = max(1, _CHUNK_BYTES // (n_bins * rows * 8))
+    step = max(1, _CHUNK_BYTES // (n_bins * rows * finfo.dtype.itemsize))
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.zeros((n_bins, rows, rows))
         for start in range(0, n_blocks, step):
@@ -226,14 +236,18 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
                 y = source[:, :, blocks]
                 z = np.concatenate((y.real, y.imag), axis=1)
                 sq = np.empty_like(z)
-                inv = state.norms[blocks].T + _NORM_GUARD
+                inv = state.norms[blocks].T + finfo.tiny
             else:
                 z = w_real @ source[:, :, blocks]
                 sq = np.square(z)
                 halves = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1)
                 inv = halves[0] if parts == 1 else halves[0] + halves[1]
                 np.sqrt(inv, out=inv)
-                inv += _NORM_GUARD
+                if not np.all(np.isfinite(inv)):
+                    channel, block = np.argwhere(~np.isfinite(inv))[0]
+                    loudest = np.argmax(np.max(sq[:, channel::channels, block], axis=1))
+                    raise NumericalDivergenceError(state.iteration, int(loudest))
+                inv += finfo.tiny
             np.divide(1.0, inv, out=inv)
             np.multiply(z.reshape(split), inv, out=sq.reshape(split))
             gram += sq @ z.transpose(0, 2, 1)
@@ -275,7 +289,7 @@ def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:
 
 
 def _half_spectrum(data: np.ndarray) -> np.ndarray:
-    """Bins 0..M/2 of (channels, blocks, M) frames as one float64 array of
+    """Bins 0..M/2 of (channels, blocks, M) frames as one float32 array of
     shape (bins, K * channels, blocks): rows [Re X; Im X] (K = 2), or X
     alone (K = 1) when every kept bin is exactly real (as at M = 2).
 
@@ -296,7 +310,7 @@ def _half_spectrum(data: np.ndarray) -> np.ndarray:
                 )
     parts = (kept.real, kept.imag) if np.any(kept.imag) else (kept.real,)
     # concatenate would follow the frames' layout; X is read bins-major
-    x = np.empty((kept.shape[2], len(parts) * kept.shape[0], kept.shape[1]))
+    x = np.empty((kept.shape[2], len(parts) * kept.shape[0], kept.shape[1]), dtype=np.float32)
     return np.concatenate([part.transpose(2, 0, 1) for part in parts], axis=1, out=x)
 
 
@@ -307,9 +321,10 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     Expects centered frames of a real signal (conjugate-symmetric in the
     bins) with an even power-of-two bin count M = 2L and at least two
     blocks. The loop runs on bins 0..L only, stacked once as [Re X; Im X]
-    in a float64 (bins, 2 * channels, blocks) array, or X alone with a
+    in a float32 (bins, 2 * channels, blocks) array, or X alone with a
     float64 bank when those bins are exactly real; the other bins stay
-    their conjugates throughout. The bank is read out with the real
+    their conjugates throughout. The chunk pass runs in float32; the bank
+    and the trace stay float64. The bank is read out with the real
     inverse DFT, so nothing imaginary is discarded.
     """
     n_bins = frames.n_bins

@@ -1,5 +1,9 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,15 @@ def reference_iva(frames, cfg):
             break
         outputs = forward_pass(fb, frames)
     return fb, mean_trace, max_trace
+
+
+def stacked_float64(data):
+    """run_iva's mixture layout built in float64 from (channels, blocks, M)
+    frames: bins 0..M/2 as one C-ordered (bins, K * channels, blocks)
+    array, rows [Re X; Im X], or X alone when every kept bin is real."""
+    kept = data[:, :, : data.shape[2] // 2 + 1].transpose(2, 0, 1)
+    parts = (kept.real, kept.imag) if np.any(kept.imag) else (kept.real,)
+    return np.ascontiguousarray(np.concatenate(parts, axis=1))
 
 
 def naive_forward(response, data):
@@ -283,6 +296,42 @@ class TestUpdateStep:
         with pytest.raises(ParameterError, match=r"\(2, 2, 2\) needs .* \(2, 2, blocks\), got float64 \(2, 4, 7\)"):
             update_step(state, IvaConfig())
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.complex64, np.int64])
+    def test_rejects_mixture_dtype_other_than_float32_or_float64(self, dtype):
+        state = IterationState(FrequencyFilterBank.identity(3, 2), np.ones((3, 4, 7), dtype), None, [])
+        name = np.dtype(dtype).name
+        with pytest.raises(ParameterError, match=rf"float32 or float64 .*, got {name} \(3, 4, 7\)"):
+            update_step(state, IvaConfig())
+
+    @pytest.mark.parametrize("parts", [2, 1])
+    def test_float32_mixture_returns_float64_bank_and_trace(self, parts):
+        # the chunk pass runs in the mixture's dtype; the bank it updates
+        # (complex128 for [Re X; Im X], float64 for X alone) and the trace
+        # entries stay double, and match the float64 mixture's to float32
+        rng = np.random.default_rng(15)
+        response = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        bank = FrequencyFilterBank(response if parts == 2 else response.real)
+        mixture = rng.standard_normal((5, 2 * parts, 300))
+        cfg = IvaConfig(step_size=0.1)
+        ref_fb, *ref_norms = update_step(IterationState(bank, mixture, None, []), cfg)
+        new_fb, *norms = update_step(IterationState(bank, mixture.astype(np.float32), None, []), cfg)
+        assert new_fb.response.dtype == bank.response.dtype
+        assert all(type(norm) is float for norm in norms)
+        np.testing.assert_allclose(new_fb.response, ref_fb.response, rtol=1e-6)
+        np.testing.assert_allclose(norms, ref_norms, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype, loud", [(np.float32, 1e20), (np.float64, 1e160)])
+    def test_overflowing_block_norm_names_iteration_and_bin(self, dtype, loud):
+        # a block past the dtype's overflow threshold of its squared norm
+        # (about 1.8e19 in float32, 1.3e154 in float64) would get infinite
+        # norms, zero scores, and drop out of the mean unnoticed
+        mixture = np.random.default_rng(16).standard_normal((5, 4, 9)).astype(dtype)
+        mixture[3, :, 6] = loud
+        state = IterationState(FrequencyFilterBank.identity(5, 2), mixture, None, [0.1])
+        with pytest.raises(NumericalDivergenceError) as err:
+            update_step(state, IvaConfig())
+        assert (err.value.iteration, err.value.bin_index) == (2, 3)
+
 
 class TestMinimumDistortion:
     def test_diagonal_becomes_identity(self):
@@ -425,37 +474,58 @@ class TestRunIva:
 class TestHalfSpectrumLoop:
     @pytest.mark.parametrize("filter_length", [8, 1])
     @pytest.mark.parametrize("iterations", [1, 5, 20])
-    def test_matches_reference_loop(self, filter_length, iterations):
-        # 4 channels is the flagship's count; there mu = 0.05 is past the
-        # step-size bound, and both loops find bin 1 singular at L = 8
+    def test_matches_reference_loop(self, monkeypatch, filter_length, iterations):
+        # the float64 instantiation of run_iva's chunk pass: the same loop
+        # on a float64 mixture built from the frames. 4 channels is the
+        # flagship's count; there mu = 0.05 is past the step-size bound, and
+        # both loops find bin 1 singular at L = 8
+        monkeypatch.setattr(convsep.iva, "_half_spectrum", stacked_float64)
         for channels, step_size in [(3, 0.05), (4, 0.02)]:
             self.check_against_reference_loop(filter_length, iterations, channels, step_size)
 
     @staticmethod
-    def check_against_reference_loop(filter_length, iterations, channels, step_size):
+    def check_against_reference_loop(
+        filter_length, iterations, channels, step_size, rtol=1e-12, trace_rtol=1e-12
+    ):
         frames = mixture_frames(filter_length, channels)
         cfg = IvaConfig(step_size=step_size, max_iterations=iterations)
         bank, trace = run_iva(frames, cfg)
         ref_fb, ref_mean, ref_max = reference_iva(frames, cfg)
         ref_bank = filters_to_time(ref_fb, filter_length)
         rel = np.linalg.norm(bank.coeffs - ref_bank.coeffs) / np.linalg.norm(ref_bank.coeffs)
-        assert rel <= 1e-12
+        assert rel <= rtol
         assert trace.iterations == iterations
-        np.testing.assert_allclose(trace.mean_update_norm, ref_mean, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(trace.max_update_norm, ref_max, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(trace.mean_update_norm, ref_mean, rtol=trace_rtol, atol=0)
+        np.testing.assert_allclose(trace.max_update_norm, ref_max, rtol=trace_rtol, atol=0)
         # the reference bank's energy past lag L - 1, which the causal readout drops
         impulse = np.abs(np.fft.ifft(ref_fb.response, axis=0)) ** 2
         ref_late = np.sum(impulse[filter_length:]) / np.sum(impulse)
-        assert trace.discarded_lag_energy == pytest.approx(ref_late, rel=1e-12, abs=1e-15)
+        assert trace.discarded_lag_energy == pytest.approx(ref_late, rel=rtol, abs=1e-15)
 
     @pytest.mark.parametrize("filter_length", [8, 1])
     @pytest.mark.parametrize("iterations", [1, 5, 20])
     def test_multi_chunk_pass_matches_reference_loop(self, monkeypatch, filter_length, iterations):
-        # the default chunk holds all of mixture_frames; 4096 bytes splits it
-        # into 84 chunks at L = 8 and 71 at L = 1 with 3 channels, and into
-        # 107 and 94 with 4, the last one short
+        # the default chunk holds all of mixture_frames; 4096 bytes of
+        # float64 splits it into 84 chunks at L = 8 and 71 at L = 1 with 3
+        # channels, and into 107 and 94 with 4, the last one short
         monkeypatch.setattr(convsep.iva, "_CHUNK_BYTES", 4096)
-        self.test_matches_reference_loop(filter_length, iterations)
+        self.test_matches_reference_loop(monkeypatch, filter_length, iterations)
+
+    @pytest.mark.parametrize("chunk_bytes", [convsep.iva._CHUNK_BYTES, 2048])
+    @pytest.mark.parametrize("filter_length", [8, 1])
+    def test_float32_pass_matches_reference_loop(self, monkeypatch, chunk_bytes, filter_length):
+        # run_iva as it runs, in float32, against the complex128 reference
+        # loop through 20 iterations, in one chunk and in the multi-chunk
+        # test's chunk counts (2048 bytes of float32). The bank and the
+        # discarded energy are bounded at 1e-7, under float32's eps of
+        # 1.19e-7: the step mu damps the pass's rounding. The traces are
+        # the Gram sums themselves, rounded in float32 over up to 6,000
+        # blocks a chunk (measured up to 2.3e-7), so they are bounded at
+        # 4 eps.
+        monkeypatch.setattr(convsep.iva, "_CHUNK_BYTES", chunk_bytes)
+        eps = float(np.finfo(np.float32).eps)
+        for channels, step_size in [(3, 0.05), (4, 0.02)]:
+            self.check_against_reference_loop(filter_length, 20, channels, step_size, 1e-7, 4 * eps)
 
     def test_rejects_non_symmetric_frames(self):
         rng = np.random.default_rng(14)
@@ -484,6 +554,58 @@ class TestHalfSpectrumLoop:
         run_iva(mixture_frames(8), IvaConfig(step_size=0.05, max_iterations=7))
         assert calls == {"update_step": 7, "minimum_distortion": 7}
 
+    def test_bank_bytes_independent_of_blas_threads(self):
+        # L = 1 iterates a float64 bank on X alone, L = 64 a complex one;
+        # both split the pass into several chunks
+        script = (
+            "import hashlib, numpy as np\n"
+            "from convsep.iva import IvaConfig, run_iva\n"
+            "from convsep.signal import SignalMetadata, TimeSeries\n"
+            "from convsep.spectral import center, stft\n"
+            "rng = np.random.default_rng(17)\n"
+            "x = np.linalg.qr(rng.standard_normal((4, 4)))[0] @ rng.laplace(size=(4, 1 << 16))\n"
+            "ts = TimeSeries(x, SignalMetadata(1e-3, tuple('abcd')))\n"
+            "for length in (1, 64):\n"
+            "    frames = center(stft(ts, 2 * length, length, 'zeropad'))\n"
+            "    bank, _ = run_iva(frames, IvaConfig(step_size=0.02, max_iterations=5))\n"
+            "    print(hashlib.sha1(bank.coeffs.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(convsep.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(run.stdout.split())
+        assert [len(d) for d in digests[0]] == [40, 40] and digests[0] == digests[1]
+
+    def test_flagship_matches_float64_loop(self, monkeypatch):
+        # the pipeline with run_iva's float32 pass against the same pipeline
+        # with the float64 instantiation of that pass, flagship seed 0
+        from convsep.demix import PipelineConfig, demix_pipeline
+        from convsep.metrics import evaluate_separation
+        from convsep.simulate import build_scenario, respiratory_scenario
+
+        scenario = respiratory_scenario(seed=0, duration_s=60.0)
+        sim = build_scenario(scenario)
+        cfg = PipelineConfig(
+            filter_length=64, dc_cutoff_hz=15.0, iva=IvaConfig(step_size=0.003, max_iterations=400)
+        )
+
+        def report():
+            result = demix_pipeline(sim.mixed, cfg)
+            return evaluate_separation(result.bank, result.sphering, sim.images, cfg.dc_cutoff_hz)
+
+        single = report()
+        monkeypatch.setattr(convsep.iva, "_half_spectrum", stacked_float64)
+        double = report()
+        assert single.assignment == double.assignment
+        gap = np.abs(np.subtract(single.sir_db, double.sir_db))
+        kinds = [scenario.source_kinds[src] for src in double.assignment]
+        emg = [out for out, kind in enumerate(kinds) if kind.startswith("emg")]
+        assert len(emg) == 2 and max(gap[emg]) <= 0.05 and max(gap) <= 0.1
+
     @pytest.mark.parametrize("filter_length", [1, 64])
     def test_peak_memory_below_reference_loop(self, traced_peak, filter_length):
         frames = mixture_frames(filter_length, n_samples=1 << 16)
@@ -501,7 +623,8 @@ class TestHalfSpectrumLoop:
     @pytest.mark.parametrize("filter_length, dtype", [(1, np.float64), (8, np.complex128)])
     def test_iterates_real_only_when_kept_bins_are_real(self, monkeypatch, filter_length, dtype):
         # at L = 1 the kept bins are DC and Nyquist, exactly real, and the
-        # mixture is X alone; otherwise it is stacked as [Re X; Im X]
+        # mixture is X alone; otherwise it is stacked as [Re X; Im X]. The
+        # mixture is float32 either way, the bank float64 or complex128
         seen = []
         step = convsep.iva.update_step
 
@@ -513,7 +636,7 @@ class TestHalfSpectrumLoop:
         frames = mixture_frames(filter_length)
         run_iva(frames, IvaConfig(step_size=0.05, max_iterations=3))
         rows = 3 if dtype is np.float64 else 6
-        assert seen == [(np.dtype(dtype), np.float64, (filter_length + 1, rows, frames.n_blocks))] * 3
+        assert seen == [(np.dtype(dtype), np.float32, (filter_length + 1, rows, frames.n_blocks))] * 3
 
 
 def csv_writer_trace(trace, path):
