@@ -9,9 +9,7 @@ reproduces the artifacts byte-for-byte. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +23,7 @@ from .errors import (
     UndefinedSirError,
 )
 from .iva import IvaConfig, write_trace_csv
-from .metrics import (
-    MAX_ASSIGNMENT_CHANNELS,
-    evaluate_separation,
-    trace_summary,
-    write_envelopes_csv,
-)
+from .metrics import evaluate_separation, trace_summary, write_envelopes_csv
 from .signal import (
     SignalMetadata,
     TimeSeries,
@@ -65,54 +58,22 @@ SCENARIO_PRESETS = {
 }
 
 
-def _optional(coerce):
-    return lambda value: None if value is None else coerce(value)
-
-
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _scenario_kind(value) -> str:
     if _json_str(value) not in SCENARIO_PRESETS:
         raise ValueError(f"expected one of {sorted(SCENARIO_PRESETS)}, got {value!r}")
     return value
 
 
-# A config dataclass field's coercion, by its annotated type.
-_COERCIONS = {
-    int: _json_int,
-    float: _json_float,
-    float | None: _optional(_json_float),
-    bool: _json_bool,
-    str: _json_str,
-    tuple[str, ...]: _json_list(_json_str),
-    tuple[float, ...]: _json_list(_json_float),
-}
-
-
-def _typed_fields(cls, names=None) -> dict:
-    """{field: coercion} for the named fields of a config dataclass, all by default."""
-    hints = typing.get_type_hints(cls)
-    if names is None:
-        names = [f.name for f in dataclasses.fields(cls)]
-    return {name: _COERCIONS[hints[name]] for name in names}
-
-
-# section -> {key: coercion}. "scenario" fills SimScenario through the preset
-# its "kind" names, "iva" fills IvaConfig, the others PipelineConfig; a key
-# missing here is rejected, and a key missing from the config takes the
-# dataclass (or preset) default.
+# section -> {key: coercion}: the keys a run varies. "scenario" picks the
+# preset its "kind" names and sets its length, "iva" fills IvaConfig, the
+# others PipelineConfig; a key missing here is rejected, and a key missing
+# from the config takes the dataclass (or preset) default.
 CONFIG_FIELDS = {
-    "scenario": {"kind": _scenario_kind, **_typed_fields(SimScenario)},
-    "stft": _typed_fields(PipelineConfig, ["filter_length"]),
-    "iva": _typed_fields(IvaConfig),
-    "preprocess": _typed_fields(PipelineConfig, ["dc_cutoff_hz", "sphering"]),
+    "scenario": {"kind": _scenario_kind, "duration_s": _json_float},
+    "stft": {"filter_length": _json_int},
+    "iva": {"step_size": _json_float, "max_iterations": _json_int},
+    "preprocess": {"dc_cutoff_hz": lambda value: None if value is None else _json_float(value)},
 }
-# Only the top-level key sets the scenario seed.
-del CONFIG_FIELDS["scenario"]["seed"]
 _TOP_LEVEL_KEYS = {"seed", "out_dir", *CONFIG_FIELDS}
 
 
@@ -171,12 +132,6 @@ def _resolve(config: dict, args) -> tuple[Path, SimScenario, PipelineConfig, dic
     if scenario.n_samples < two_frames:
         raise ParameterError(
             f"stft.filter_length needs {two_frames} samples for two frames, got {scenario.n_samples}"
-        )
-    # the scoring's limit: its assignment search tries every permutation
-    if args.command in ("evaluate", "pipeline") and scenario.n_sources > MAX_ASSIGNMENT_CHANNELS:
-        raise ParameterError(
-            f"scenario.n_sources must be at most {MAX_ASSIGNMENT_CHANNELS} to evaluate, "
-            f"got {scenario.n_sources}"
         )
 
     sources = dict(scenario=scenario, stft=pipeline_cfg, iva=iva_cfg, preprocess=pipeline_cfg)

@@ -15,7 +15,8 @@ arithmetic of the mixture's dtype: per chunk, the stacked outputs
 [Re Y; Im Y] from the real block form of W, their broadband norms, the
 score and the chunk's Gram matrix, which is summed across chunks in
 float64; so no outputs array of the frames' size is ever held. The
-chunks bound memory only; they buy no speed. The bank, the bracket and
+chunk size sets speed as well as memory: one chunk per pass raised the
+median wall time on every benchmark workload. The bank, the bracket and
 minimum_distortion stay float64 (complex128). The score Y / ||Y|| does
 not depend on scale, so its guard is the dtype's smallest normal number,
 an absolute floor that only keeps a silent block's 0/0 at 0. When every
@@ -54,9 +55,10 @@ __all__ = [
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
 # bytes of outputs per chunk of blocks in update_step: it bounds the chunk's
-# temporaries, and so the loop's peak memory (one chunk per pass ran faster
-# at L = 64 on 2 cores, but held outputs the size of the frames; reused
-# chunk buffers ran no faster than fresh temporaries)
+# temporaries, and so the loop's peak memory, and it sets the speed too: in
+# the float32 pass one chunk per pass raised the median wall time on every
+# benchmark workload (2 cores); reused chunk buffers ran no faster than fresh
+# temporaries
 _CHUNK_BYTES = 1 << 19
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
@@ -155,8 +157,8 @@ def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralF
             f"norms shape {norms.shape} does not match (blocks, channels) "
             f"({outputs.n_blocks}, {outputs.n_channels})"
         )
-    if np.any(norms < 0):
-        raise ParameterError("broadband norms must be non-negative")
+    if not np.all((norms >= 0) & (norms < np.inf)):
+        raise ParameterError("broadband norms must be finite and non-negative")
     denom = norms.T[:, :, None] + guard  # (channels, blocks, 1)
     return outputs.with_data(outputs.data / denom)
 
@@ -165,9 +167,9 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
     Phi is the score of the outputs. The pass over the blocks runs in real
-    arithmetic, in chunks of about _CHUNK_BYTES (they bound the temporaries,
-    not the time), on the stacked outputs Z = [Re Y; Im Y] (Y alone for a
-    float64 bank): G += (Z / ||Y||) Z^T, and then Phi Y^H = G_aa + G_bb +
+    arithmetic, in chunks of about _CHUNK_BYTES (they bound the temporaries
+    and set the speed), on the stacked outputs Z = [Re Y; Im Y] (Y alone
+    for a float64 bank): G += (Z / ||Y||) Z^T, and then Phi Y^H = G_aa + G_bb +
     i (G_ba - G_ab) from the blocks of G. Given the stacked mixture, Z is
     [[Re W, -Im W], [Im W, Re W]] (W for a float64 bank) times it, and the
     broadband norms are formed there too, with the half spectrum's interior
@@ -179,7 +181,9 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
     Returns the new bank plus the bin-weighted mean and the max Frobenius
     norm of the bracketed term over bins (the convergence-trace entries).
     Raises ParameterError when given outputs differ from the bank in bins
-    or channels or lack non-negative (blocks, channels) norms, or when the
+    or channels or lack finite, non-negative (blocks, channels) norms (an
+    infinite or NaN norm, as broadband_norms gives a block past about
+    1.3e154, would drop that block's score to 0 or spread NaN), or when the
     mixture is not float32 or float64 with K x the bank's channels as rows
     (K = 2 for a complex bank, 1 for a float64 one). Raises
     NumericalDivergenceError, naming the iteration and a bin, when the new
@@ -199,11 +203,14 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
                 f"outputs are {source.shape[0]} x {source.shape[1]}"
             )
         n_blocks = source.shape[2]
-        if np.shape(state.norms) != (n_blocks, channels) or np.any(np.asarray(state.norms) < 0):
+        given = np.asarray(state.norms)
+        if given.shape != (n_blocks, channels):
             raise ParameterError(
-                f"norms must be non-negative (blocks, channels) = ({n_blocks}, {channels}), "
-                f"got shape {np.shape(state.norms)}"
+                f"norms must be (blocks, channels) = ({n_blocks}, {channels}), "
+                f"got shape {given.shape}"
             )
+        if not np.all((given >= 0) & (given < np.inf)):
+            raise ParameterError("broadband norms must be finite and non-negative")
     else:
         parts = 1 if response.dtype == np.float64 else 2
         source = state.outputs

@@ -250,7 +250,9 @@ class TestUpdateStep:
         np.testing.assert_allclose(new_fb.response[0, 0, 0], 1.0 - mu, atol=1e-12)
 
     def test_divergence_names_iteration_and_bin(self):
-        data = np.full((1, 1, 1), 1e308, dtype=complex)
+        # |Y| = 1e150 keeps the norm finite; the bracket 1 - 1e150 times the
+        # 1e308 bank overflows
+        data = np.full((1, 1, 1), 1e150, dtype=complex)
         outputs = frames_from(data)
         fb = FrequencyFilterBank(np.full((1, 1, 1), 1e308, dtype=complex))
         state = IterationState(fb, outputs, broadband_norms(outputs), [0.1, 0.2])
@@ -280,6 +282,23 @@ class TestUpdateStep:
         state.norms = -state.norms
         with pytest.raises(ParameterError, match="non-negative"):
             update_step(state, IvaConfig())
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_norms(self, bad):
+        # a block at 1e160 overflows its broadband norm to inf; taken as given,
+        # it zeroes that block's score while the others still multiply its
+        # outputs, and the update comes back finite but off by about 1e158
+        data = np.random.default_rng(17).standard_normal((2, 5, 4))
+        data[:, 2] = 1e160
+        outputs = frames_from(data)
+        norms = broadband_norms(outputs)
+        assert np.all(np.isinf(norms[2]))
+        norms[2, 1] = bad
+        state = IterationState(FrequencyFilterBank.identity(4, 2), outputs, norms, [])
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            update_step(state, IvaConfig(step_size=0.1))
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            score(outputs, norms, 0.0)
 
     def test_rejects_complex_mixture(self):
         # the (bins, channels, blocks) complex layout has the bank's row count
