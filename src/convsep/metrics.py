@@ -50,10 +50,10 @@ DB_CAP = 100.0
 MAX_ASSIGNMENT_CHANNELS = 6
 # width of moving_rms's centered window
 ENVELOPE_WINDOW_S = 0.05
-# Samples formatted per write in write_envelopes_csv. A block's Python floats
-# and strings stay well under moving_rms's temporaries, so the writer's peak
-# memory is that of moving_rms; formatting the whole file at once more than
-# doubles it.
+# Samples formatted per write in write_envelopes_csv, with one %-format call
+# per block. A block's Python floats and nine-digit strings stay well under
+# moving_rms's temporaries, so the writer's peak memory is that of
+# moving_rms; formatting the whole file at once more than doubles it.
 _CSV_BLOCK_SAMPLES = 1024
 
 
@@ -350,18 +350,19 @@ def moving_rms(ts: TimeSeries) -> np.ndarray:
 def write_envelopes_csv(ts: TimeSeries, path) -> None:
     """CSV of moving_rms envelope traces: time_s, env_out1, env_out2, ...
 
-    One row per sample, time ``i * sample_interval_s``, every value as the
-    shortest round-trip ``repr`` of its float64, CRLF line ends (the bytes
-    ``csv.writer`` writes for the same rows)."""
+    One row per sample, time ``i * sample_interval_s``, every value as
+    ``"%.9g"`` (nine significant digits, the width that round-trips a
+    float32, the precision of the separated signal the envelopes come from;
+    at most 5e-9 relative error, exact zeros as ``0``), CRLF line ends (the
+    bytes ``csv.writer`` writes for the same rows)."""
     env = moving_rms(ts)
     interval = ts.meta.sample_interval_s
     n = ts.n_samples
-    row = ",".join(["%r"] * (ts.n_channels + 1)) + "\r\n"
+    row = ",".join(["%.9g"] * (ts.n_channels + 1)) + "\r\n"
     with _open_new(path, "w", newline="", encoding="utf-8") as fh:
         header = ["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)]
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, _CSV_BLOCK_SAMPLES):
             stop = min(start + _CSV_BLOCK_SAMPLES, n)
             block = np.vstack([np.arange(start, stop) * interval, env[:, start:stop]])
-            # one %-format call per block; %r gives repr of each Python float
             fh.write(row * (stop - start) % tuple(block.T.ravel().tolist()))

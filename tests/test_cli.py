@@ -10,6 +10,8 @@ import pytest
 
 import convsep
 from convsep.cli import CONFIG_FIELDS, main
+from convsep.metrics import moving_rms
+from convsep.signal import read_raw
 from convsep.spectral import load_filter_bank
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -128,21 +130,8 @@ class TestSimulateCommand:
             ({"iva": {"max_iterations": True}}, "max_iterations"),
             ({"iva": {"step_size": True}}, "step_size"),
             ({"preprocess": {"dc_cutoff_hz": True}}, "dc_cutoff_hz"),
-            ({"scenario": {"source_kinds": 3}}, "scenario.source_kinds"),
             ({"scenario": {"kind": ["x"]}}, "scenario.kind"),
-            # settings that are constants now: rejected by name whatever the value
-            ({"scenario": {"kernel_length": 16.5}}, "scenario.kernel_length"),
-            ({"scenario": {"emg_gain": "x"}}, "scenario.emg_gain"),
-            ({"scenario": {"ecg_bpm": True}}, "scenario.ecg_bpm"),
-            ({"scenario": {"breath_period_s": 0}}, "breath_period_s"),
-            ({"scenario": {"ecg_bpm": 0}}, "ecg_bpm"),
-            ({"scenario": {"conduction_velocity_m_s": 0.5}}, "conduction_velocity_m_s"),
-            ({"iva": {"convergence_tol": float("nan")}}, "convergence_tol"),
             ({"seed": -1}, "seed"),
-            ({"scenario": {"emg_gain": float("nan")}}, "emg_gain"),
-            ({"scenario": {"sensor_spacing_m": -0.015}}, "sensor_spacing_m"),
-            ({"iva": {"norm_guard": float("inf")}}, "norm_guard"),
-            ({"iva": {"convergence_tol": float("inf")}}, "convergence_tol"),
             ({"preprocess": {"dc_cutoff_hz": float("inf")}}, "dc_cutoff_hz"),
             ({"scenario": {"kind": "bogus"}}, "scenario.kind"),
             (
@@ -343,8 +332,14 @@ class TestEvaluateCommand:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert sorted(report["assignment"]) == [0, 1, 2, 3]
         assert len(report["sir_db"]) == 4
-        env_lines = (tmp_path / "out" / "envelopes.csv").read_text().splitlines()
-        assert env_lines[0] == "time_s,env_out1,env_out2,env_out3,env_out4"
+        out = tmp_path / "out"
+        separated = read_raw(out / "separated.raw", out / "separated.json")
+        env_lines = (out / "envelopes.csv").read_bytes().split(b"\r\n")
+        assert env_lines[0] == b"time_s,env_out1,env_out2,env_out3,env_out4"
+        assert env_lines[-1] == b""
+        assert len(env_lines) - 1 == separated.n_samples + 1
+        got = np.array([[float(v) for v in line.split(b",")] for line in env_lines[1:-1]])
+        np.testing.assert_allclose(got[:, 1:], moving_rms(separated).T, rtol=5e-9, atol=0)
 
     def test_missing_ground_truth_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

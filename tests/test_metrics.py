@@ -548,7 +548,7 @@ def loop_envelopes_csv(ts, path):
         writer.writerow(["time_s"] + [f"env_out{p + 1}" for p in range(ts.n_channels)])
         interval = ts.meta.sample_interval_s
         for i in range(ts.n_samples):
-            writer.writerow([repr(i * interval)] + [repr(float(v)) for v in env[:, i]])
+            writer.writerow(["%.9g" % (i * interval)] + ["%.9g" % v for v in env[:, i]])
 
 
 def wide_range_signal(n_channels, n_samples, seed=0):
@@ -580,11 +580,30 @@ class TestWriteEnvelopesCsv:
 
     def test_inputs_reach_exponent_forms_and_zero(self, make_ts):
         env = moving_rms(make_ts(wide_range_signal(4, 3 * 1024 + 7)))
-        text = [repr(v) for v in env.ravel().tolist()]
+        text = ["%.9g" % v for v in env.ravel().tolist()]
         exponents = [int(v.partition("e")[2]) for v in text if "e" in v]
-        assert "0.0" in text
+        assert "0" in text
         assert min(exponents) < -150
-        assert env.max() > 1e11
+        assert max(exponents) >= 11
+
+    @pytest.mark.parametrize("sample_interval_s", [1e-3, 1 / 2400, 0.976e-3])
+    def test_values_within_nine_digits(self, make_ts, tmp_path, sample_interval_s):
+        n_samples = 3 * 1024 + 7
+        ts = make_ts(wide_range_signal(4, n_samples), sample_interval_s)
+        write_envelopes_csv(ts, tmp_path / "env.csv")
+        with open(tmp_path / "env.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cells = [cell for row in rows for cell in row[1:]]
+        got = np.array([[float(cell) for cell in row] for row in rows])
+        env = moving_rms(ts)
+        # nine significant digits round to within half a unit of the ninth
+        np.testing.assert_allclose(got[:, 1:], env.T, rtol=5e-9, atol=0)
+        assert all(cell == "0" for cell, v in zip(cells, env.T.ravel()) if v == 0.0)
+        assert any(int(cell.partition("e")[2]) < -150 for cell in cells if "e" in cell)
+        assert any(int(cell.partition("e")[2]) >= 11 for cell in cells if "e" in cell)
+        times = got[:, 0]
+        np.testing.assert_allclose(times, np.arange(n_samples) * sample_interval_s, rtol=5e-9, atol=0)
+        assert np.all(np.diff(times) > 0)
 
     @pytest.mark.parametrize("n_samples", [16_384, 61_475])
     def test_peak_memory_within_moving_rms(self, make_ts, traced_peak, tmp_path, n_samples):
