@@ -15,8 +15,10 @@ arithmetic of the mixture's dtype: per chunk, the stacked outputs
 [Re Y; Im Y] from the real block form of W, their broadband norms, the
 score and the chunk's Gram matrix, which is summed across chunks in
 float64; so no outputs array of the frames' size is ever held. The
-chunk size sets speed as well as memory: one chunk per pass raised the
-median wall time on every benchmark workload. The bank, the bracket and
+chunk size sets speed as well as memory: of 512 KiB, 1 MiB and 2 MiB, 1
+MiB gave the lowest benchmark wall time on the flagship and no higher on
+the other workloads, and 2 MiB (one chunk per pass on the flagship) the
+highest on the two-source pair. The bank, the bracket and
 minimum_distortion stay float64 (complex128). The score Y / ||Y|| does
 not depend on scale, so its guard is the dtype's smallest normal number,
 an absolute floor that only keeps a silent block's 0/0 at 0. When every
@@ -55,14 +57,21 @@ __all__ = [
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
 # bytes of outputs per chunk of blocks in update_step: it bounds the chunk's
-# temporaries, and so the loop's peak memory, and it sets the speed too: in
-# the float32 pass one chunk per pass raised the median wall time on every
-# benchmark workload (2 cores); reused chunk buffers ran no faster than fresh
+# temporaries, and so the loop's peak memory, and it sets the speed too.
+# perfbench wall_s, medians of 6 alternating runs on 2 cores, flagship /
+# pair-l1-l64 / cli-roundtrip: 512 KiB 0.187 / 0.318 / 0.121 s, 1 MiB
+# 0.184 / 0.315 / 0.120 s, 2 MiB 0.216 / 0.423 / 0.118 s (one chunk per
+# pass on the flagship). Reused chunk buffers ran no faster than fresh
 # temporaries
-_CHUNK_BYTES = 1 << 19
+_CHUNK_BYTES = 1 << 20
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
 _SYMMETRY_RTOL = 1e-10
+# bins per pass of the symmetry check: neighbouring bins share cache lines
+# of the (channels, blocks, M) frames, so one bin a pass reads every line
+# once per kept bin; on the flagship frames (2 cores) the check took 2.3 ms
+# at one bin a pass and 0.9 ms at 8
+_SYMMETRY_BINS = 8
 
 
 @dataclass(frozen=True)
@@ -223,10 +232,14 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
                 f"got {source.dtype} {source.shape}"
             )
         n_blocks = source.shape[2]
-        w_real = response
-        if parts == 2:
-            w_real = np.block([[response.real, -response.imag], [response.imag, response.real]])
-        w_real = w_real.astype(source.dtype)
+        w_real = np.empty((n_bins, parts * channels, parts * channels), dtype=source.dtype)
+        if parts == 1:
+            w_real[...] = response
+        else:
+            w = w_real.reshape(n_bins, 2, channels, 2, channels)  # [[Re W, -Im W], [Im W, Re W]]
+            w[:, 0, :, 0] = w[:, 1, :, 1] = response.real
+            w[:, 1, :, 0] = response.imag
+            np.negative(response.imag, out=w[:, 0, :, 1])
     finfo = np.finfo(source.dtype)  # of the pass: float64 for complex outputs
     weights = np.ones(n_bins)
     if not outputs_given:
@@ -243,7 +256,7 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
                 y = source[:, :, blocks]
                 z = np.concatenate((y.real, y.imag), axis=1)
                 sq = np.empty_like(z)
-                inv = state.norms[blocks].T + finfo.tiny
+                inv = given[blocks].T + finfo.tiny
             else:
                 z = w_real @ source[:, :, blocks]
                 sq = np.square(z)
@@ -261,9 +274,12 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
         cross = gram
         if parts == 2:
             g = gram.reshape(n_bins, 2, channels, 2, channels)  # [[G_aa, G_ab], [G_ba, G_bb]]
-            cross = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 1, :, 0] - g[:, 0, :, 1])
-        bracket = np.eye(channels) - cross / n_blocks
-        norms = np.linalg.norm(bracket, axis=(1, 2))
+            cross = np.empty(response.shape, dtype=np.complex128)
+            np.add(g[:, 0, :, 0], g[:, 1, :, 1], out=cross.real)
+            np.subtract(g[:, 1, :, 0], g[:, 0, :, 1], out=cross.imag)
+        cross /= n_blocks
+        bracket = np.subtract(np.eye(channels), cross, out=cross)
+        norms = np.sqrt(_squared_norms(bracket))
         new_response = response + cfg.step_size * (bracket @ response)
     if not np.all(np.isfinite(new_response)):
         bad = ~np.all(np.isfinite(new_response).reshape(n_bins, -1), axis=1)
@@ -285,14 +301,22 @@ def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:
         except np.linalg.LinAlgError:
             dets = np.abs(np.linalg.det(response))
             raise SingularFilterError(int(np.argmin(dets)))
-    finite = np.all(np.isfinite(inverse).reshape(inverse.shape[0], -1), axis=1)
-    if not np.all(finite):
-        raise SingularFilterError(int(np.argmax(~finite)))
-    cond = np.linalg.norm(response, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
-    if np.any(cond > _MAX_CONDITION):
+        finite = np.all(np.isfinite(inverse).reshape(inverse.shape[0], -1), axis=1)
+        if not np.all(finite):
+            raise SingularFilterError(int(np.argmax(~finite)))
+        # the condition estimate ||W||_F ||W^-1||_F, squared (an overflow is
+        # past the ceiling too)
+        cond = _squared_norms(response) * _squared_norms(inverse)
+    if np.any(cond > _MAX_CONDITION**2):
         raise SingularFilterError(int(np.argmax(cond)))
-    diag = np.einsum("vqq->vq", inverse)
-    return FrequencyFilterBank(diag[:, :, None] * response)
+    return FrequencyFilterBank(inverse.diagonal(0, 1, 2)[:, :, None] * response)
+
+
+def _squared_norms(matrices: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a C-contiguous (bins, P, P)
+    float64 or complex128 array."""
+    flat = matrices.reshape(matrices.shape[0], -1).view(np.float64)
+    return np.vecdot(flat, flat)
 
 
 def _half_spectrum(data: np.ndarray) -> np.ndarray:
@@ -302,19 +326,25 @@ def _half_spectrum(data: np.ndarray) -> np.ndarray:
 
     Raises ParameterError unless bin M-v is the conjugate of bin v (so the
     DC and Nyquist bins are real) to within _SYMMETRY_RTOL of the largest
-    magnitude. Checked bin by bin, so no temporary reaches the frames' size.
+    magnitude, naming the first bin that is not. Checked _SYMMETRY_BINS
+    bins at a time, so no temporary reaches the frames' size.
     """
     n_bins = data.shape[2]
     kept = data[:, :, : n_bins // 2 + 1]
-    tol = _SYMMETRY_RTOL * max(float(np.max(np.abs(data[:, :, v]))) for v in range(kept.shape[2]))
-    for v in range(kept.shape[2]):
-        mirror = data[:, :, -v % n_bins]
-        for gap in (kept[:, :, v].real - mirror.real, kept[:, :, v].imag + mirror.imag):
-            if np.max(np.abs(gap, out=gap)) > tol:
-                raise ParameterError(
-                    f"frames are not conjugate-symmetric: bin {v} is not the conjugate "
-                    f"of bin {-v % n_bins} (the input must be real)"
-                )
+    mirrors = data[:, :, : n_bins // 2 - 1 : -1]  # bins M-1, ..., M/2, partners of bins 1..M/2
+    passes = [(0, 1)] + [(v, v + _SYMMETRY_BINS) for v in range(1, kept.shape[2], _SYMMETRY_BINS)]
+    tol = _SYMMETRY_RTOL * max(float(np.max(np.abs(kept[:, :, a:b]))) for a, b in passes)
+    for v0, v1 in passes:
+        part = kept[:, :, v0:v1]
+        mirror = part if v0 == 0 else mirrors[:, :, v0 - 1 : v1 - 1]
+        gap = np.abs(part.real - mirror.real)
+        np.maximum(gap, np.abs(part.imag + mirror.imag), out=gap)
+        if np.max(gap) > tol:
+            v = v0 + int(np.argmax(np.max(gap, axis=(0, 1)) > tol))
+            raise ParameterError(
+                f"frames are not conjugate-symmetric: bin {v} is not the conjugate "
+                f"of bin {-v % n_bins} (the input must be real)"
+            )
     parts = (kept.real, kept.imag) if np.any(kept.imag) else (kept.real,)
     # concatenate would follow the frames' layout; X is read bins-major
     x = np.empty((kept.shape[2], len(parts) * kept.shape[0], kept.shape[1]), dtype=np.float32)

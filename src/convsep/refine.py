@@ -226,7 +226,7 @@ def refine_bank(
     block = max(length, MIN_BLOCK)
     rows = bank.coeffs.reshape(p, p * length).copy()
     stats = LaggedStatistics(sphered, length, block)
-    initial = [_block_powers(stats.output(row), block) for row in rows]
+    initial = [_block_powers(y, block) for y in _mimo_fir(bank.coeffs, sphered)]
     before = tuple(_contrast(power) for power in initial)
     q = int(np.argmin(np.round(before, 9)))
     cov = stats.covariance()

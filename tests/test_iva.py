@@ -300,6 +300,16 @@ class TestUpdateStep:
         with pytest.raises(ParameterError, match="finite and non-negative"):
             score(outputs, norms, 0.0)
 
+    def test_accepts_list_norms(self):
+        # as score does: the norms are read through np.asarray
+        state = self.frames_state(FrequencyFilterBank.identity(8, 2))
+        cfg = IvaConfig(step_size=0.1)
+        expected_fb, *expected = update_step(state, cfg)
+        state.norms = state.norms.tolist()
+        new_fb, *norms = update_step(state, cfg)
+        np.testing.assert_array_equal(new_fb.response, expected_fb.response)
+        assert norms == expected
+
     def test_rejects_complex_mixture(self):
         # the (bins, channels, blocks) complex layout has the bank's row count
         # at K = 1, but a complex bank reads rows as [Re X; Im X]
@@ -392,6 +402,25 @@ class TestMinimumDistortion:
         with pytest.raises(SingularFilterError) as err:
             minimum_distortion(FrequencyFilterBank(response))
         assert err.value.bin_index == 1
+
+    @staticmethod
+    def conditioned_bank(condition):
+        # diag(1, 1/c) inverts exactly, and ||W||_F ||W^-1||_F is
+        # sqrt(c^2 + 2 + 1/c^2), c to within 1e-28 here
+        response = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+        response[2, 1, 1] = 1.0 / condition
+        return FrequencyFilterBank(response)
+
+    @pytest.mark.parametrize("condition", [1e14 * (1 + 1e-6), 1e160], ids=["just-past", "overflowing"])
+    def test_condition_past_ceiling_names_bin(self, condition):
+        # at 1e160 the squared norms overflow, which is past the ceiling too
+        with pytest.raises(SingularFilterError) as err:
+            minimum_distortion(self.conditioned_bank(condition))
+        assert err.value.bin_index == 2
+
+    def test_condition_below_ceiling_passes(self):
+        out = minimum_distortion(self.conditioned_bank(1e14 * (1 - 1e-6)))
+        np.testing.assert_allclose(out.response, np.tile(np.eye(2), (4, 1, 1)), rtol=1e-12, atol=0)
 
 
 class TestRunIva:
@@ -557,6 +586,17 @@ class TestHalfSpectrumLoop:
         data = frames.data.copy()
         data[1, 3, 0] += 1e-3j * np.max(np.abs(data))
         with pytest.raises(ParameterError, match="bin 0"):
+            run_iva(frames.with_data(data), IvaConfig(max_iterations=1))
+
+    @pytest.mark.parametrize("bins", [(3, 5), (8, 9), (9, 12), (16,)], ids=lambda b: "-".join(map(str, b)))
+    def test_names_first_asymmetric_bin(self, bins):
+        # the check runs several bins a pass; bin 16 is the Nyquist bin
+        # of M = 32, its own conjugate
+        frames = mixture_frames(16)
+        data = frames.data.copy()
+        for v in bins:
+            data[0, 2, -v % 32] += (1 + 1j) * 1e-3 * np.max(np.abs(data))
+        with pytest.raises(ParameterError, match=rf"bin {bins[0]} is not the conjugate of bin {-bins[0] % 32} "):
             run_iva(frames.with_data(data), IvaConfig(max_iterations=1))
 
     def test_calls_each_step_once_per_iteration(self, monkeypatch):
