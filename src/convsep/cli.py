@@ -191,8 +191,12 @@ def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
 def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> None:
     bank_path = out_dir / "filterbank.raw"
     run_report_path = out_dir / "run_report.json"
-    if not bank_path.exists() or not run_report_path.exists():
-        raise FormatError(f"no separation artifacts in {out_dir}; run `convsep separate` first")
+    for name in ("filterbank.raw", "run_report.json", "separated.raw", "separated.json"):
+        if not (out_dir / name).exists():
+            raise FormatError(
+                f"no separation artifacts in {out_dir} ({name} is missing); "
+                "run `convsep separate` first"
+            )
     images = []
     for q in range(scenario.n_sources):
         raw = out_dir / f"image_src{q + 1}.raw"

@@ -15,17 +15,15 @@ arithmetic of the mixture's dtype: per chunk, the stacked outputs
 [Re Y; Im Y] from the real block form of W, their broadband norms, the
 score and the chunk's Gram matrix, which is summed across chunks in
 float64; so no outputs array of the frames' size is ever held. The
-chunk size sets speed as well as memory: of 512 KiB, 1 MiB and 2 MiB, 1
-MiB gave the lowest benchmark wall time on the flagship and no higher on
-the other workloads, and 2 MiB (one chunk per pass on the flagship) the
-highest on the two-source pair. The bank, the bracket and
-minimum_distortion stay float64 (complex128). The score Y / ||Y|| does
-not depend on scale, so its guard is the dtype's smallest normal number,
-an absolute floor that only keeps a silent block's 0/0 at 0. When every
-kept bin is exactly real (L = 1: DC and Nyquist only) the rows are X
-alone and the bank stays float64.
+bank, the bracket and minimum_distortion stay float64 (complex128). The
+score Y / ||Y|| does not depend on scale, so its guard is the dtype's
+smallest normal number, an absolute floor that only keeps a silent
+block's 0/0 at 0. When every kept bin is exactly real (L = 1: DC and
+Nyquist only) the rows are X alone and the bank stays float64.
+
 forward_pass, broadband_norms and score are the full-spectrum reference
-steps on SpectralFrames; update_step and minimum_distortion serve both.
+steps on SpectralFrames; given their outputs, update_step shares only the
+update itself with the chunk pass, so the loop they make checks run_iva.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ __all__ = [
 # transient ill-conditioning during iteration self-corrects, so the guard
 # only rejects matrices whose inverse is numerically meaningless
 _MAX_CONDITION = 1e14
-# bytes of outputs per chunk of blocks in update_step: it bounds the chunk's
+# bytes of outputs per chunk of blocks in _chunk_pass: it bounds the chunk's
 # temporaries, and so the loop's peak memory, and it sets the speed too.
 # perfbench wall_s, medians of 6 alternating runs on 2 cores, flagship /
 # pair-l1-l64 / cli-roundtrip: 512 KiB 0.187 / 0.318 / 0.121 s, 1 MiB
@@ -106,13 +104,14 @@ class IterationState:
 
     outputs is either SpectralFrames of the outputs, (channels, blocks,
     bins), every bin weighted 1, with norms their (blocks, channels)
-    broadband norms; or the half spectrum X of the mixture as a float32
-    (as run_iva passes it) or float64 (bins, K * channels, blocks) array,
-    rows [Re X; Im X] for a complex bank (K = 2) or X for a float64 one
-    (K = 1), from which update_step forms the outputs W X chunk by chunk in
-    that dtype. Then norms is None, and each kept bin counts for the
-    full-spectrum bins it stands for (1, 2, ..., 2, 1). filters holds one
-    matrix per bin of outputs, float64 or complex128 in either case.
+    broadband norms, which update_step passes to score; or the half
+    spectrum X of the mixture as a float32 (as run_iva passes it) or
+    float64 (bins, K * channels, blocks) array, rows [Re X; Im X] for a
+    complex bank (K = 2) or X for a float64 one (K = 1), from which
+    update_step forms the outputs W X chunk by chunk in that dtype. Then
+    norms is None, and each kept bin counts for the full-spectrum bins it
+    stands for (1, 2, ..., 2, 1). filters holds one matrix per bin of
+    outputs, float64 or complex128 in either case.
     """
 
     filters: FrequencyFilterBank
@@ -159,125 +158,65 @@ def broadband_norms(outputs: SpectralFrames) -> np.ndarray:
 
 
 def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralFrames:
-    """Multivariate score: each bin divided by its block's broadband norm."""
+    """Multivariate score: each bin divided by its block's broadband norm.
+
+    Raises ParameterError unless norms are finite (an infinite one, as
+    broadband_norms gives a block past about 1.3e154, would zero that
+    block's score), non-negative and (blocks, channels), or when the score
+    is not finite: the outputs are not, or the norms do not belong to them
+    (a 0 norm on a nonzero block overflows at a tiny guard).
+    """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.shape != (outputs.n_blocks, outputs.n_channels):
         raise ParameterError(
-            f"norms shape {norms.shape} does not match (blocks, channels) "
-            f"({outputs.n_blocks}, {outputs.n_channels})"
+            f"norms shape must be (blocks, channels) = ({outputs.n_blocks}, "
+            f"{outputs.n_channels}), got shape {norms.shape}"
         )
     if not np.all((norms >= 0) & (norms < np.inf)):
         raise ParameterError("broadband norms must be finite and non-negative")
-    denom = norms.T[:, :, None] + guard  # (channels, blocks, 1)
-    return outputs.with_data(outputs.data / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = outputs.data / (norms.T[:, :, None] + guard)  # norms as (channels, blocks, 1)
+    if not np.all(np.isfinite(phi)):
+        raise ParameterError("score is not finite: the norms do not belong to the outputs")
+    return outputs.with_data(phi)
 
 
 def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterBank, float, float]:
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
-    Phi is the score of the outputs. The pass over the blocks runs in real
-    arithmetic, in chunks of about _CHUNK_BYTES (they bound the temporaries
-    and set the speed), on the stacked outputs Z = [Re Y; Im Y] (Y alone
-    for a float64 bank): G += (Z / ||Y||) Z^T, and then Phi Y^H = G_aa + G_bb +
-    i (G_ba - G_ab) from the blocks of G. Given the stacked mixture, Z is
-    [[Re W, -Im W], [Im W, Re W]] (W for a float64 bank) times it, and the
-    broadband norms are formed there too, with the half spectrum's interior
-    bins weighted 2. The mixture's dtype, float32 or float64, is the dtype
-    of that pass: Z, the norms, the score and each chunk's G. The sum of G
-    over the chunks, the bracket and the new bank are float64 (complex128)
-    either way. Every norm is guarded by the smallest normal number of the
-    pass's dtype.
-    Returns the new bank plus the bin-weighted mean and the max Frobenius
-    norm of the bracketed term over bins (the convergence-trace entries).
+    Given SpectralFrames, Phi is score(outputs, norms, tiny) (float64's
+    smallest normal number) and mean(Phi Y^H) one complex product per bin
+    over the blocks, every bin weighted 1. Given the stacked mixture, it
+    comes from _chunk_pass, the interior bins weighted 2. The bracket and
+    the new bank are float64 (complex128) either way. Returns the new bank
+    plus the bin-weighted mean and the max Frobenius norm of the bracketed
+    term over bins (the convergence-trace entries).
     Raises ParameterError when given outputs differ from the bank in bins
-    or channels or lack finite, non-negative (blocks, channels) norms (an
-    infinite or NaN norm, as broadband_norms gives a block past about
-    1.3e154, would drop that block's score to 0 or spread NaN), or when the
+    or channels or score rejects them with their norms, or when the
     mixture is not float32 or float64 with K x the bank's channels as rows
-    (K = 2 for a complex bank, 1 for a float64 one). Raises
-    NumericalDivergenceError, naming the iteration and a bin, when the new
-    bank is not finite or when a block's broadband norm formed from the
-    mixture overflows (its outputs past about 1.8e19 in float32, 1.3e154
-    in float64), which would otherwise drop the block from the mean.
+    (K = 2 for a complex bank, 1 for a float64 one) and at least one
+    block. Raises NumericalDivergenceError, naming the iteration and a
+    bin, when the new bank is not finite or when a block's broadband norm
+    formed from the mixture overflows (its outputs past about 1.8e19 in
+    float32, 1.3e154 in float64), which would otherwise drop the block
+    from the mean.
     """
     response = state.filters.response
     n_bins, channels = response.shape[:2]
-    outputs_given = isinstance(state.outputs, SpectralFrames)
-    if outputs_given:
-        parts = 2
-        source = state.outputs.data.transpose(2, 0, 1)  # (bins, channels, blocks)
-        if source.shape[:2] != (n_bins, channels):
-            raise ParameterError(
-                f"bank is {n_bins} bins x {channels} channels, "
-                f"outputs are {source.shape[0]} x {source.shape[1]}"
-            )
-        n_blocks = source.shape[2]
-        given = np.asarray(state.norms)
-        if given.shape != (n_blocks, channels):
-            raise ParameterError(
-                f"norms must be (blocks, channels) = ({n_blocks}, {channels}), "
-                f"got shape {given.shape}"
-            )
-        if not np.all((given >= 0) & (given < np.inf)):
-            raise ParameterError("broadband norms must be finite and non-negative")
-    else:
-        parts = 1 if response.dtype == np.float64 else 2
-        source = state.outputs
-        expected = (n_bins, parts * channels)
-        dtype_ok = source.dtype in (np.float32, np.float64)
-        if source.ndim != 3 or source.shape[:2] != expected or not dtype_ok:
-            raise ParameterError(
-                f"a {response.dtype} bank of shape {response.shape} needs a float32 or float64 "
-                f"mixture of shape ({expected[0]}, {expected[1]}, blocks), "
-                f"got {source.dtype} {source.shape}"
-            )
-        n_blocks = source.shape[2]
-        w_real = np.empty((n_bins, parts * channels, parts * channels), dtype=source.dtype)
-        if parts == 1:
-            w_real[...] = response
-        else:
-            w = w_real.reshape(n_bins, 2, channels, 2, channels)  # [[Re W, -Im W], [Im W, Re W]]
-            w[:, 0, :, 0] = w[:, 1, :, 1] = response.real
-            w[:, 1, :, 0] = response.imag
-            np.negative(response.imag, out=w[:, 0, :, 1])
-    finfo = np.finfo(source.dtype)  # of the pass: float64 for complex outputs
     weights = np.ones(n_bins)
-    if not outputs_given:
-        weights[1:-1] = 2.0
-    scale = (weights / weights.sum()).astype(finfo.dtype)
-    rows = parts * channels
-    split = (n_bins, parts, channels, -1)
-    step = max(1, _CHUNK_BYTES // (n_bins * rows * finfo.dtype.itemsize))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.zeros((n_bins, rows, rows))
-        for start in range(0, n_blocks, step):
-            blocks = slice(start, start + step)
-            if outputs_given:
-                y = source[:, :, blocks]
-                z = np.concatenate((y.real, y.imag), axis=1)
-                sq = np.empty_like(z)
-                inv = given[blocks].T + finfo.tiny
-            else:
-                z = w_real @ source[:, :, blocks]
-                sq = np.square(z)
-                halves = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1)
-                inv = halves[0] if parts == 1 else halves[0] + halves[1]
-                np.sqrt(inv, out=inv)
-                if not np.all(np.isfinite(inv)):
-                    channel, block = np.argwhere(~np.isfinite(inv))[0]
-                    loudest = np.argmax(np.max(sq[:, channel::channels, block], axis=1))
-                    raise NumericalDivergenceError(state.iteration, int(loudest))
-                inv += finfo.tiny
-            np.divide(1.0, inv, out=inv)
-            np.multiply(z.reshape(split), inv, out=sq.reshape(split))
-            gram += sq @ z.transpose(0, 2, 1)
-        cross = gram
-        if parts == 2:
-            g = gram.reshape(n_bins, 2, channels, 2, channels)  # [[G_aa, G_ab], [G_ba, G_bb]]
-            cross = np.empty(response.shape, dtype=np.complex128)
-            np.add(g[:, 0, :, 0], g[:, 1, :, 1], out=cross.real)
-            np.subtract(g[:, 1, :, 0], g[:, 0, :, 1], out=cross.imag)
-        cross /= n_blocks
+        if isinstance(state.outputs, SpectralFrames):
+            y = state.outputs.data.transpose(2, 0, 1)  # (bins, channels, blocks)
+            if y.shape[:2] != (n_bins, channels):
+                raise ParameterError(
+                    f"bank is {n_bins} bins x {channels} channels, "
+                    f"outputs are {y.shape[0]} x {y.shape[1]}"
+                )
+            phi = score(state.outputs, state.norms, np.finfo(np.float64).tiny).data
+            cross = phi.transpose(2, 0, 1) @ y.conj().transpose(0, 2, 1) / y.shape[2]
+        else:
+            weights[1:-1] = 2.0
+            cross = _chunk_pass(state, weights)
         bracket = np.subtract(np.eye(channels), cross, out=cross)
         norms = np.sqrt(_squared_norms(bracket))
         new_response = response + cfg.step_size * (bracket @ response)
@@ -286,6 +225,62 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
         raise NumericalDivergenceError(state.iteration, int(np.argmax(bad)))
     mean_norm = float(weights @ norms / weights.sum())
     return FrequencyFilterBank(new_response), mean_norm, float(norms.max())
+
+
+def _chunk_pass(state: IterationState, weights: np.ndarray) -> np.ndarray:
+    """mean(Phi Y^H) per bin (complex128, or float64 for a float64 bank)
+    from one pass over the stacked mixture X = state.outputs in its dtype,
+    the bins weighted by weights in the norms. Per chunk of blocks, with
+    Z = [[Re W, -Im W], [Im W, Re W]] X (W X for a float64 bank), it sums
+    G += (Z / ||Y||) Z^T in float64; Phi Y^H = G_aa + G_bb + i (G_ba - G_ab).
+    """
+    response = state.filters.response
+    n_bins, channels = response.shape[:2]
+    parts = 1 if response.dtype == np.float64 else 2
+    rows = parts * channels
+    x = state.outputs
+    dtype_ok = x.dtype in (np.float32, np.float64)
+    if x.ndim != 3 or x.shape[:2] != (n_bins, rows) or not dtype_ok or x.shape[2] == 0:
+        raise ParameterError(
+            f"a {response.dtype} bank of shape {response.shape} needs a float32 or float64 "
+            f"mixture of at least one block, of shape ({n_bins}, {rows}, blocks), "
+            f"got {x.dtype} {x.shape}"
+        )
+    w_real = np.empty((n_bins, rows, rows), dtype=x.dtype)
+    if parts == 1:
+        w_real[...] = response
+    else:
+        w = w_real.reshape(n_bins, 2, channels, 2, channels)  # [[Re W, -Im W], [Im W, Re W]]
+        w[:, 0, :, 0] = w[:, 1, :, 1] = response.real
+        w[:, 1, :, 0] = response.imag
+        np.negative(response.imag, out=w[:, 0, :, 1])
+    scale = (weights / weights.sum()).astype(x.dtype)
+    split = (n_bins, parts, channels, -1)
+    step = max(1, _CHUNK_BYTES // (n_bins * rows * x.itemsize))
+    tiny = np.finfo(x.dtype).tiny
+    gram = np.zeros((n_bins, rows, rows))
+    for start in range(0, x.shape[2], step):
+        z = w_real @ x[:, :, start : start + step]
+        sq = np.square(z)
+        halves = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1)
+        inv = halves[0] if parts == 1 else halves[0] + halves[1]
+        np.sqrt(inv, out=inv)
+        if not np.all(np.isfinite(inv)):
+            channel, block = np.argwhere(~np.isfinite(inv))[0]
+            loudest = np.argmax(np.max(sq[:, channel::channels, block], axis=1))
+            raise NumericalDivergenceError(state.iteration, int(loudest))
+        inv += tiny
+        np.divide(1.0, inv, out=inv)
+        np.multiply(z.reshape(split), inv, out=sq.reshape(split))
+        gram += sq @ z.transpose(0, 2, 1)
+    cross = gram
+    if parts == 2:
+        g = gram.reshape(n_bins, 2, channels, 2, channels)  # [[G_aa, G_ab], [G_ba, G_bb]]
+        cross = np.empty(response.shape, dtype=np.complex128)
+        np.add(g[:, 0, :, 0], g[:, 1, :, 1], out=cross.real)
+        np.subtract(g[:, 1, :, 0], g[:, 0, :, 1], out=cross.imag)
+    cross /= x.shape[2]
+    return cross
 
 
 def minimum_distortion(fb: FrequencyFilterBank) -> FrequencyFilterBank:

@@ -347,14 +347,18 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg)]) == 2
 
     def test_missing_image_exits_2(self, tmp_path, capsys, separated_diagonal):
-        out = tmp_path / "out"
-        shutil.copytree(separated_diagonal, out)
-        (out / "image_src2.raw").unlink()
+        # a missing input is named before anything is written
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
-        assert main(["evaluate", "--config", str(cfg)]) == 2
-        assert "image_src2.raw" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        out = tmp_path / "out"
+        for name in ("image_src2.raw", "separated.raw"):
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(separated_diagonal, out)
+            (out / name).unlink()
+            assert main(["evaluate", "--config", str(cfg)]) == 2
+            assert name in capsys.readouterr().err
+            assert not (out / "report.json").exists()
+            assert not (out / "envelopes.csv").exists()
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_RUN_REPORTS))
     def test_corrupt_run_report_exits_2(self, tmp_path, capsys, separated_diagonal, corruption):

@@ -85,6 +85,25 @@ def naive_forward(response, data):
     return out
 
 
+def naive_update(response, data, norms, mu):
+    """Per-bin, per-block loop oracle of update_step on (channels, blocks,
+    bins) outputs: the new bank, and the mean and max Frobenius norms of
+    the bracket over bins."""
+    channels, blocks, bins_ = data.shape
+    tiny = np.finfo(np.float64).tiny
+    new = np.zeros(response.shape, dtype=complex)
+    bracket_norms = []
+    for v in range(bins_):
+        total = np.zeros((channels, channels), dtype=complex)
+        for m in range(blocks):
+            y = data[:, m, v]
+            total += np.outer(y / (norms[m] + tiny), y.conj())
+        bracket = np.eye(channels) - total / blocks
+        new[v] = response[v] + mu * bracket @ response[v]
+        bracket_norms.append(np.sqrt(np.sum(np.abs(bracket) ** 2)))
+    return new, float(np.mean(bracket_norms)), float(np.max(bracket_norms))
+
+
 class TestIvaConfig:
     def test_defaults_valid(self):
         cfg = IvaConfig()
@@ -261,6 +280,34 @@ class TestUpdateStep:
         assert err.value.iteration == 3
         assert err.value.bin_index == 0
 
+    @pytest.mark.parametrize("bank", ["complex", "float64"])
+    @pytest.mark.parametrize("channels", [2, 3])
+    def test_matches_naive_loop(self, channels, bank):
+        rng = np.random.default_rng(18 + channels)
+        data = rng.standard_normal((channels, 7, 8)) + 1j * rng.standard_normal((channels, 7, 8))
+        data[:, 4] = 0.0  # a silent block: its score is 0/(0 + tiny) = 0
+        response = rng.standard_normal((8, channels, channels))
+        if bank == "complex":
+            response = response + 1j * rng.standard_normal((8, channels, channels))
+        outputs = frames_from(data)
+        norms = broadband_norms(outputs)
+        state = IterationState(FrequencyFilterBank(response), outputs, norms, [])
+        new_fb, mean_norm, max_norm = update_step(state, IvaConfig(step_size=0.2))
+        expected, expected_mean, expected_max = naive_update(response, data, norms, 0.2)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(new_fb.response, expected, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose([mean_norm, max_norm], [expected_mean, expected_max], rtol=1e-12)
+
+    def test_rejects_norms_of_other_outputs(self):
+        # a 0 norm on a block at |Y| = 10: Y / (0 + tiny) overflows, so the
+        # norms cannot be those of these outputs
+        outputs = frames_from(np.full((2, 3, 4), 10.0))
+        norms = broadband_norms(outputs)
+        norms[1, 0] = 0.0
+        state = IterationState(FrequencyFilterBank.identity(4, 2), outputs, norms, [])
+        with pytest.raises(ParameterError, match="norms do not belong to the outputs"):
+            update_step(state, IvaConfig())
+
     @staticmethod
     def frames_state(fb, norms=True):
         outputs = frames_from(np.random.default_rng(7).standard_normal((2, 3, 8)))
@@ -330,6 +377,17 @@ class TestUpdateStep:
         state = IterationState(FrequencyFilterBank.identity(3, 2), np.ones((3, 4, 7), dtype), None, [])
         name = np.dtype(dtype).name
         with pytest.raises(ParameterError, match=rf"float32 or float64 .*, got {name} \(3, 4, 7\)"):
+            update_step(state, IvaConfig())
+
+    @pytest.mark.parametrize("parts", [2, 1])
+    def test_rejects_mixture_without_blocks(self, parts):
+        # with no blocks the mean over blocks is 0/0, which read as a
+        # divergence at bin 0
+        response = np.tile(np.eye(2), (3, 1, 1))
+        bank = FrequencyFilterBank(response if parts == 1 else response.astype(complex))
+        state = IterationState(bank, np.ones((3, 2 * parts, 0), np.float32), None, [])
+        match = rf"at least one block, .*, got float32 \(3, {2 * parts}, 0\)"
+        with pytest.raises(ParameterError, match=match):
             update_step(state, IvaConfig())
 
     @pytest.mark.parametrize("parts", [2, 1])
