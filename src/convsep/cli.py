@@ -165,14 +165,21 @@ def cmd_simulate(out_dir: Path, scenario: SimScenario) -> None:
     write_raw(kernel_ts, out_dir / "kernels.raw", out_dir / "kernels.json")
 
 
+def _require(out_dir: Path, names, what: str, command: str) -> None:
+    """FormatError naming the first of names missing from out_dir and the command that writes it."""
+    for name in names:
+        if not (out_dir / name).exists():
+            raise FormatError(f"{what} in {out_dir} ({name} is missing); run `convsep {command}` first")
+
+
 def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
-    mixed_path = out_dir / "mixed.raw"
-    header_path = out_dir / "mixed.json"
-    if not mixed_path.exists() or not header_path.exists():
-        raise FormatError(f"no input signal at {mixed_path}; run `convsep simulate` first")
-    mixed = read_raw(mixed_path, header_path)
+    _require(out_dir, ("mixed.raw", "mixed.json"), "no input signal", "simulate")
+    mixed = read_raw(out_dir / "mixed.raw", out_dir / "mixed.json")
     result = demix_pipeline(mixed, cfg)
-    write_raw(result.separated, out_dir / "separated.raw", out_dir / "separated.json")
+    separated = result.separated
+    write_raw(separated, out_dir / "separated.raw", out_dir / "separated.json")
+    # the envelopes of the float32 samples separated.raw holds, as read_raw returns them
+    write_envelopes_csv(separated.with_data(separated.data.astype(np.float32)), out_dir / "envelopes.csv")
     save_filter_bank(result.bank, out_dir / "filterbank.raw", out_dir / "filterbank.json")
     write_trace_csv(result.trace, out_dir / "convergence.csv")
     report = {
@@ -189,22 +196,14 @@ def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
 
 
 def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> None:
-    bank_path = out_dir / "filterbank.raw"
     run_report_path = out_dir / "run_report.json"
-    for name in ("filterbank.raw", "run_report.json", "separated.raw", "separated.json"):
-        if not (out_dir / name).exists():
-            raise FormatError(
-                f"no separation artifacts in {out_dir} ({name} is missing); "
-                "run `convsep separate` first"
-            )
-    images = []
-    for q in range(scenario.n_sources):
-        raw = out_dir / f"image_src{q + 1}.raw"
-        header = out_dir / f"image_src{q + 1}.json"
-        if not raw.exists() or not header.exists():
-            raise FormatError(f"missing ground-truth image {raw}; run `convsep simulate` first")
-        images.append(read_raw(raw, header))
-    bank = load_filter_bank(bank_path, out_dir / "filterbank.json")
+    artifacts = ("filterbank.raw", "filterbank.json", "run_report.json")
+    _require(out_dir, artifacts, "no separation artifacts", "separate")
+    stems = [f"image_src{q + 1}" for q in range(scenario.n_sources)]
+    names = [stem + ext for stem in stems for ext in (".raw", ".json")]
+    _require(out_dir, names, "no ground-truth images", "simulate")
+    images = [read_raw(out_dir / f"{stem}.raw", out_dir / f"{stem}.json") for stem in stems]
+    bank = load_filter_bank(out_dir / "filterbank.raw", out_dir / "filterbank.json")
     run_report = read_json(run_report_path, "run report")
     try:
         sph = run_report["sphering"]
@@ -223,8 +222,6 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
     payload["convergence"] = convergence
     payload["refinement"] = refinement
     write_json(payload, out_dir / "report.json")
-    separated = read_raw(out_dir / "separated.raw", out_dir / "separated.json")
-    write_envelopes_csv(separated, out_dir / "envelopes.csv")
 
 
 def _run(args) -> int:
@@ -250,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("simulate", "generate a mixture with ground truth"),
-        ("separate", "fit sphering + demixing filters and separate"),
-        ("evaluate", "score a separation against ground truth"),
+        ("separate", "fit filters on mixed.raw, write outputs + envelopes"),
+        ("evaluate", "score the bank against simulated ground truth"),
         ("pipeline", "simulate, separate, and evaluate in one run"),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ParameterError
 from .iva import ConvergenceTrace, IvaConfig, run_iva
 from .refine import RefinementTrace, refine_bank
-from .signal import TimeSeries, highpass_dc_removal
+from .signal import SignalMetadata, TimeSeries, highpass_dc_removal
 from .spectral import DemixFilterBank, _is_power_of_two, _mimo_fir, center, stft
 from .sphering import (
     SpheringTransform,
@@ -83,13 +83,14 @@ class PipelineResult(NamedTuple):
 def apply_mimo_fir(bank: DemixFilterBank, ts: TimeSeries) -> TimeSeries:
     """y_q(n) = sum_p sum_k w[q,p,k] x_p(n-k), zero initial state.
 
-    Output length equals input length.
+    Output length equals input length; the outputs are labelled out1..outQ.
     """
     if bank.n_channels != ts.n_channels:
         raise ParameterError(
             f"bank has {bank.n_channels} channels, signal has {ts.n_channels}"
         )
-    return ts.with_data(_mimo_fir(bank.coeffs, ts.data))
+    labels = tuple(f"out{q + 1}" for q in range(bank.n_channels))
+    return TimeSeries(_mimo_fir(bank.coeffs, ts.data), SignalMetadata(ts.meta.sample_interval_s, labels))
 
 
 def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:

@@ -398,21 +398,23 @@ def _target_gain(kind: str) -> float:
 
 def build_scenario(sc: SimScenario) -> Simulation:
     """Deterministic synthesis for a fixed seed: sources, kernels, unit-gain
-    images scaled to each kind's target RMS, and their sum as the mixture."""
+    images scaled to each kind's target RMS, and their sum as the mixture.
+    The returned system holds the kernels times those gains, so that
+    mix(sources, system, ones) reproduces the images."""
     signals = np.stack([_source_signal(sc, q) for q in range(sc.n_sources)])
     sources = SourceSet(signals, sc.source_kinds)
 
     kernel_rng = stream_rng(sc.seed, "kernels")
     kernels = np.stack([_source_kernels(sc, q, kernel_rng) for q in range(sc.n_sources)])
-    system = MixingSystem(kernels)
-
-    images = mix(sources, system, np.ones(sc.n_sources))[1]
+    images = mix(sources, MixingSystem(kernels), np.ones(sc.n_sources))[1]
+    gains = np.ones(sc.n_sources)
     for q, img in enumerate(images):
         rms = float(np.sqrt(np.mean(img.data**2)))
-        gain = _target_gain(sc.source_kinds[q]) / rms if rms > 0 else 1.0
-        images[q] = img.with_data(gain * img.data)
+        if rms > 0:
+            gains[q] = _target_gain(sc.source_kinds[q]) / rms
+        images[q] = img.with_data(gains[q] * img.data)
     mixed = images[0].with_data(sum(img.data for img in images))
-    return Simulation(mixed, sources, system, images)
+    return Simulation(mixed, sources, MixingSystem(kernels * gains[:, None, None]), images)
 
 
 def respiratory_scenario(seed: int = 0, **overrides) -> SimScenario:

@@ -11,7 +11,7 @@ import pytest
 import convsep
 from convsep.cli import CONFIG_FIELDS, main
 from convsep.metrics import moving_rms
-from convsep.signal import read_raw
+from convsep.signal import SignalMetadata, TimeSeries, read_raw, write_raw
 from convsep.spectral import load_filter_bank
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -280,6 +280,31 @@ class TestSeparateCommand:
         assert lines[0] == "iteration,mean_update_norm,max_update_norm"
         assert len(lines) == 31  # 30 iterations + header
 
+    def test_recording_without_ground_truth_gets_envelopes(self, tmp_path, capsys):
+        # a recording from outside the simulator: a mixture and nothing else
+        out = tmp_path / "out"
+        out.mkdir()
+        rng = np.random.default_rng(3)
+        recording = np.array([[1.0, 0.5], [0.3, 1.0]]) @ rng.laplace(size=(2, 4096))
+        meta = SignalMetadata(1e-3, ("left", "right"))
+        write_raw(TimeSeries(recording, meta), out / "mixed.raw", out / "mixed.json")
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+        assert main(["separate", "--config", str(cfg)]) == 0
+        header = json.loads((out / "separated.json").read_text())
+        assert header["labels"] == ["out1", "out2"]
+        separated = read_raw(out / "separated.raw", out / "separated.json")
+        env_lines = (out / "envelopes.csv").read_bytes().split(b"\r\n")
+        assert env_lines[0] == b"time_s,env_out1,env_out2"
+        got = np.array([[float(v) for v in line.split(b",")] for line in env_lines[1:-1]])
+        np.testing.assert_allclose(got[:, 1:], moving_rms(separated).T, rtol=5e-9, atol=0)
+        # scoring needs the simulator's images: evaluate names the first and writes nothing
+        snapshot = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "image_src1.raw" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == snapshot
+
 
 class TestNumericalFailure:
     def test_divergence_exits_3(self, tmp_path, capsys):
@@ -351,14 +376,31 @@ class TestEvaluateCommand:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
         out = tmp_path / "out"
-        for name in ("image_src2.raw", "separated.raw"):
-            shutil.rmtree(out, ignore_errors=True)
-            shutil.copytree(separated_diagonal, out)
-            (out / name).unlink()
-            assert main(["evaluate", "--config", str(cfg)]) == 2
-            assert name in capsys.readouterr().err
-            assert not (out / "report.json").exists()
-            assert not (out / "envelopes.csv").exists()
+        shutil.copytree(separated_diagonal, out)
+        (out / "image_src2.raw").unlink()
+        envelopes = (out / "envelopes.csv").read_bytes()
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "image_src2.raw" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert (out / "envelopes.csv").read_bytes() == envelopes
+
+    @pytest.mark.parametrize("damage", ["truncated", "deleted"])
+    def test_scores_without_separated_signal(self, tmp_path, separated_diagonal, damage):
+        # scoring reads the bank, the run report and the images, never separated.*
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+        untouched, out = tmp_path / "untouched", tmp_path / "out"
+        shutil.copytree(separated_diagonal, untouched)
+        assert main(["evaluate", "--config", str(cfg), "--out", str(untouched)]) == 0
+        shutil.copytree(separated_diagonal, out)
+        if damage == "truncated":
+            with open(out / "separated.raw", "r+b") as fh:
+                fh.truncate(1000)
+        else:
+            (out / "separated.raw").unlink()
+            (out / "separated.json").unlink()
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert (out / "report.json").read_bytes() == (untouched / "report.json").read_bytes()
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_RUN_REPORTS))
     def test_corrupt_run_report_exits_2(self, tmp_path, capsys, separated_diagonal, corruption):

@@ -45,6 +45,14 @@ class TestApplyMimoFir:
         out = apply_mimo_fir(DemixFilterBank.identity(3, 4), ts)
         np.testing.assert_array_equal(out.data, ts.data)
 
+    def test_outputs_are_labelled_out(self, make_ts):
+        # the outputs are demixed sources, not sensors: out1..outQ, the
+        # columns envelopes.csv calls env_out1..
+        ts = make_ts(np.zeros((3, 20)), sample_interval_s=2e-3)
+        out = apply_mimo_fir(DemixFilterBank.identity(3, 4), ts)
+        assert out.meta.channel_labels == ("out1", "out2", "out3")
+        assert out.meta.sample_interval_s == 2e-3
+
     def test_pure_delay(self, make_ts):
         rng = np.random.default_rng(1)
         ts = make_ts(rng.standard_normal((2, 30)))

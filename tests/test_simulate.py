@@ -198,6 +198,18 @@ class TestBuildScenario:
         np.testing.assert_array_equal(a.sources.signals, b.sources.signals)
         np.testing.assert_array_equal(a.system.kernels, b.system.kernels)
 
+    @pytest.mark.parametrize(
+        "factory",
+        [respiratory_scenario, delayed_pair_scenario, instantaneous_pair_scenario, diagonal_scenario],
+    )
+    def test_system_reproduces_images(self, factory):
+        # the kernels written as ground truth are the ones that made the images
+        sim = build_scenario(factory(seed=0, duration_s=5.0))
+        mixed, images = mix(sim.sources, sim.system, np.ones(sim.sources.n_sources))
+        for got, want in zip([mixed, *images], [sim.mixed, *sim.images]):
+            err = np.max(np.abs(got.data - want.data))
+            assert err <= 1e-12 * np.max(np.abs(want.data))
+
     def test_seed_changes_output(self):
         a = build_scenario(respiratory_scenario(seed=3, duration_s=4.0))
         b = build_scenario(respiratory_scenario(seed=4, duration_s=4.0))
