@@ -224,9 +224,28 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
     write_json(payload, out_dir / "report.json")
 
 
+def _check_echo(out_dir: Path, echo: dict) -> None:
+    """ParameterError when out_dir's config echo names another seed or
+    scenario than echo: out_dir's inputs were made from those, and the echo
+    must keep reproducing them."""
+    path = out_dir / "config_echo.json"
+    if not path.exists():
+        return
+    made = read_json(path, "config echo")
+    for key in ("seed", "scenario"):
+        if made.get(key) != echo[key]:
+            raise ParameterError(
+                f"{key} is {echo[key]!r}, but {path} holds {key} {made.get(key)!r}, "
+                f"from which the inputs in {out_dir} were made; run with those, "
+                f"or run `convsep simulate` first"
+            )
+
+
 def _run(args) -> int:
     config = {} if args.config is None else read_json(args.config, "config")
     out_dir, scenario, cfg, echo = _resolve(config, args)
+    if args.command in ("separate", "evaluate"):
+        _check_echo(out_dir, echo)
     # separate and evaluate read their inputs from out_dir, so only simulate makes it
     if args.command in ("simulate", "pipeline"):
         out_dir.mkdir(parents=True, exist_ok=True)

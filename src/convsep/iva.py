@@ -19,7 +19,11 @@ bank, the bracket and minimum_distortion stay float64 (complex128). The
 score Y / ||Y|| does not depend on scale, so its guard is the dtype's
 smallest normal number, an absolute floor that only keeps a silent
 block's 0/0 at 0. When every kept bin is exactly real (L = 1: DC and
-Nyquist only) the rows are X alone and the bank stays float64.
+Nyquist only) the rows are X alone and the bank stays float64. When the
+two kept bins are also equal (zero-padded frames at L = 1 hold x(m) in
+both), one bin stands for both: the loop iterates it, with the two-bin
+pass's blocks per chunk, and gives both bins its matrices at the readout,
+so bank and traces are byte for byte the two-bin loop's.
 
 forward_pass, broadband_norms and score are the full-spectrum reference
 steps on SpectralFrames; given their outputs, update_step shares only the
@@ -60,7 +64,10 @@ _MAX_CONDITION = 1e14
 # pair-l1-l64 / cli-roundtrip: 512 KiB 0.187 / 0.318 / 0.121 s, 1 MiB
 # 0.184 / 0.315 / 0.120 s, 2 MiB 0.216 / 0.423 / 0.118 s (one chunk per
 # pass on the flagship). Reused chunk buffers ran no faster than fresh
-# temporaries
+# temporaries. A one-bin mixture, which stands for two equal bins, keeps
+# their blocks per chunk (65,536 on the pair at L = 1), and so their Gram
+# sums and bank bytes; one chunk of all blocks changed the bank's bytes and
+# ran slower (L = 1 run_iva 275-289 against 215-218 ms, pair seed 0)
 _CHUNK_BYTES = 1 << 20
 # conjugate-symmetry tolerance of run_iva's input, relative to its largest
 # magnitude; an FFT of real data misses exact symmetry by about 1e-15
@@ -110,8 +117,9 @@ class IterationState:
     complex bank (K = 2) or X for a float64 one (K = 1), from which
     update_step forms the outputs W X chunk by chunk in that dtype. Then
     norms is None, and each kept bin counts for the full-spectrum bins it
-    stands for (1, 2, ..., 2, 1). filters holds one matrix per bin of
-    outputs, float64 or complex128 in either case.
+    stands for (1, 2, ..., 2, 1); a one-bin mixture stands for two equal
+    kept bins (run_iva at L = 1) and is chunked as they are. filters holds
+    one matrix per bin of outputs, float64 or complex128 in either case.
     """
 
     filters: FrequencyFilterBank
@@ -256,15 +264,17 @@ def _chunk_pass(state: IterationState, weights: np.ndarray) -> np.ndarray:
         np.negative(response.imag, out=w[:, 0, :, 1])
     scale = (weights / weights.sum()).astype(x.dtype)
     split = (n_bins, parts, channels, -1)
-    step = max(1, _CHUNK_BYTES // (n_bins * rows * x.itemsize))
+    # a one-bin mixture keeps two bins' blocks per chunk (see _CHUNK_BYTES)
+    step = max(1, _CHUNK_BYTES // (max(n_bins, 2) * rows * x.itemsize))
     tiny = np.finfo(x.dtype).tiny
     gram = np.zeros((n_bins, rows, rows))
     for start in range(0, x.shape[2], step):
         z = w_real @ x[:, :, start : start + step]
         sq = np.square(z)
-        halves = (scale @ sq.reshape(n_bins, -1)).reshape(parts, channels, -1)
-        inv = halves[0] if parts == 1 else halves[0] + halves[1]
-        np.sqrt(inv, out=inv)
+        # one bin weighs 1, and a one-row product would run a dot product per column
+        power = sq if n_bins == 1 else scale @ sq.reshape(n_bins, -1)
+        halves = power.reshape(parts, channels, -1)
+        inv = np.sqrt(halves[0] if parts == 1 else halves[0] + halves[1])
         if not np.all(np.isfinite(inv)):
             channel, block = np.argwhere(~np.isfinite(inv))[0]
             loudest = np.argmax(np.max(sq[:, channel::channels, block], axis=1))
@@ -354,7 +364,8 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     bins) with an even power-of-two bin count M = 2L and at least two
     blocks. The loop runs on bins 0..L only, stacked once as [Re X; Im X]
     in a float32 (bins, 2 * channels, blocks) array, or X alone with a
-    float64 bank when those bins are exactly real; the other bins stay
+    float64 bank when those bins are exactly real, and as one bin for both
+    when they are equal (L = 1, zero-padded); the other bins stay
     their conjugates throughout. The chunk pass runs in float32; the bank
     and the trace stay float64. The bank is read out with the real
     inverse DFT, so nothing imaginary is discarded.
@@ -367,9 +378,14 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
     filter_length = n_bins // 2
 
     x = _half_spectrum(frames.data)
+    # zero-padded frames at L = 1 hold x(m) in DC and Nyquist alike; then
+    # one bin stands for both, and both get its matrices at the readout
+    twin = x.shape[0] == 2 and np.array_equal(x[0], x[1])
+    if twin:
+        x = x[:1]
     real = x.shape[1] == frames.n_channels
     eye = np.eye(frames.n_channels, dtype=np.float64 if real else np.complex128)
-    bank = FrequencyFilterBank(np.tile(eye, (filter_length + 1, 1, 1)))
+    bank = FrequencyFilterBank(np.tile(eye, (x.shape[0], 1, 1)))
     mean_trace: list[float] = []
     max_trace: list[float] = []
     converged = False
@@ -391,7 +407,8 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
             converged = True
             break
 
-    impulse = np.fft.irfft(bank.response, n=n_bins, axis=0)  # (lags, P, P)
+    response = np.concatenate([bank.response] * 2) if twin else bank.response
+    impulse = np.fft.irfft(response, n=n_bins, axis=0)  # (lags, P, P)
     total = float(np.sum(impulse**2))
     late = float(np.sum(impulse[filter_length:] ** 2)) / total if total > 0 else 0.0
     trace = ConvergenceTrace(

@@ -454,6 +454,36 @@ class TestReproducibility:
             assert path.read_bytes() == (old / path.name).read_bytes(), f"{path.name} changed"
 
 
+class TestEchoGuard:
+    @pytest.mark.parametrize(
+        "command, scenario, flags, ours, theirs",
+        [
+            ("evaluate", {}, ["--seed", "9"], "seed is 9", "seed 5"),
+            ("separate", {}, ["--seed", "9"], "seed is 9", "seed 5"),
+            ("separate", {"duration_s": 5.0}, [], "'duration_s': 5.0", "'duration_s': 4.0"),
+            ("evaluate", {"kind": "delayed_pair"}, [], "'kind': 'delayed_pair'", "'kind': 'diagonal'"),
+        ],
+    )
+    def test_other_seed_or_scenario_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, command, scenario, flags, ours, theirs
+    ):
+        # the inputs in out_dir came from the echo's seed and scenario;
+        # running on them under others would rewrite the echo to settings
+        # that no longer reproduce them
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0}, iva={"max_iterations": 20})
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        snapshot = {path.name: path.read_bytes() for path in out.iterdir()}
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0, **scenario})
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert ours in err and theirs in err and "config_echo.json" in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == snapshot
+        assert main([command, "--config", str(out / "config_echo.json")]) == 0
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         # the CLI is started once per run, so every module it imports is paid on every run

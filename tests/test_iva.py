@@ -740,8 +740,9 @@ class TestHalfSpectrumLoop:
     @pytest.mark.parametrize("filter_length, dtype", [(1, np.float64), (8, np.complex128)])
     def test_iterates_real_only_when_kept_bins_are_real(self, monkeypatch, filter_length, dtype):
         # at L = 1 the kept bins are DC and Nyquist, exactly real, and the
-        # mixture is X alone; otherwise it is stacked as [Re X; Im X]. The
-        # mixture is float32 either way, the bank float64 or complex128
+        # mixture is X alone (one bin, as the zero-padded frames make both
+        # bins equal); otherwise it is stacked as [Re X; Im X]. The mixture
+        # is float32 either way, the bank float64 or complex128
         seen = []
         step = convsep.iva.update_step
 
@@ -753,7 +754,78 @@ class TestHalfSpectrumLoop:
         frames = mixture_frames(filter_length)
         run_iva(frames, IvaConfig(step_size=0.05, max_iterations=3))
         rows = 3 if dtype is np.float64 else 6
-        assert seen == [(np.dtype(dtype), np.float32, (filter_length + 1, rows, frames.n_blocks))] * 3
+        bins = 1 if filter_length == 1 else filter_length + 1
+        assert seen == [(np.dtype(dtype), np.float32, (bins, rows, frames.n_blocks))] * 3
+
+    @pytest.mark.parametrize("chunk_bytes", [convsep.iva._CHUNK_BYTES, 2048])
+    @pytest.mark.parametrize("iterations", [1, 20])
+    def test_one_bin_loop_matches_two_bin_loop_bytes(self, monkeypatch, chunk_bytes, iterations):
+        # zero-padded frames at L = 1 hold each block in DC and Nyquist
+        # alike, so run_iva iterates one bin; its bank, traces and discarded
+        # energy are those of the loop over both bins, byte for byte, in one
+        # chunk and in 71 (2048 bytes of float32 over 3 channels)
+        monkeypatch.setattr(convsep.iva, "_CHUNK_BYTES", chunk_bytes)
+        frames = mixture_frames(1)
+        cfg = IvaConfig(step_size=0.05, max_iterations=iterations)
+        x = convsep.iva._half_spectrum(frames.data)
+        assert x.shape == (2, 3, frames.n_blocks) and np.array_equal(x[0], x[1])
+        fb = FrequencyFilterBank(np.tile(np.eye(3), (2, 1, 1)))
+        mean_trace, max_trace = [], []
+        for _ in range(iterations):
+            fb, mean_norm, max_norm = update_step(IterationState(fb, x, None, mean_trace), cfg)
+            fb = minimum_distortion(fb)
+            mean_trace.append(mean_norm)
+            max_trace.append(max_norm)
+        impulse = np.fft.irfft(fb.response, n=2, axis=0)
+        late = float(np.sum(impulse[1:] ** 2)) / float(np.sum(impulse**2))
+
+        bins = []
+        step = convsep.iva.update_step
+
+        def spy(state, cfg):
+            bins.append(state.outputs.shape[0])
+            return step(state, cfg)
+
+        monkeypatch.setattr(convsep.iva, "update_step", spy)
+        bank, trace = run_iva(frames, cfg)
+        assert bins == [1] * iterations
+        assert bank.coeffs.tobytes() == impulse[:1].transpose(1, 2, 0).tobytes()
+        assert (trace.mean_update_norm, trace.max_update_norm) == (mean_trace, max_trace)
+        assert trace.discarded_lag_energy == late
+
+    def test_two_bin_loop_when_bins_differ(self, monkeypatch):
+        # rect frames at M = 2 hold x(m) + x(m+1) at DC and x(m) - x(m+1)
+        # at Nyquist, so both bins are iterated
+        bins = []
+        step = convsep.iva.update_step
+
+        def spy(state, cfg):
+            bins.append(state.outputs.shape[:2])
+            return step(state, cfg)
+
+        monkeypatch.setattr(convsep.iva, "update_step", spy)
+        meta = SignalMetadata(1e-3, tuple("abc"))
+        mixed = np.random.default_rng(15).laplace(size=(3, 4000))
+        frames = center(stft(TimeSeries(mixed, meta), 2, 1, "rect"))
+        run_iva(frames, IvaConfig(step_size=0.05, max_iterations=3))
+        assert bins == [(2, 3)] * 3
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_one_bin_mixture_steps_like_two_equal_bins(self, parts):
+        # the per-step API takes a one-bin mixture (a float64 bank on X, a
+        # complex one on [Re X; Im X]) and steps it as each of two equal bins
+        rng = np.random.default_rng(16)
+        x = rng.laplace(size=(1, parts * 3, 500)).astype(np.float32)
+        response = np.eye(3) + 0.1 * rng.standard_normal((1, 3, 3))
+        if parts == 2:
+            response = response + 0.1j * rng.standard_normal((1, 3, 3))
+        cfg = IvaConfig(step_size=0.05)
+        one = update_step(IterationState(FrequencyFilterBank(response), x, None), cfg)
+        twin_bank = FrequencyFilterBank(np.concatenate([response] * 2))
+        two = update_step(IterationState(twin_bank, np.concatenate([x] * 2), None), cfg)
+        new = one[0].response.tobytes()
+        assert new == two[0].response[:1].tobytes() == two[0].response[1:].tobytes()
+        assert one[1:] == two[1:]
 
 
 def csv_writer_trace(trace, path):
