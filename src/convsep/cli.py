@@ -46,7 +46,7 @@ from .simulate import (
     respiratory_scenario,
 )
 from .spectral import load_filter_bank, save_filter_bank
-from .sphering import SpheringTransform
+from .sphering import DEFAULT_EIGENVALUE_FLOOR, SpheringTransform
 
 __all__ = ["main"]
 
@@ -187,7 +187,7 @@ def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
         "sphering": {
             "matrix": result.sphering.matrix.tolist(),
             "eigenvalues": result.sphering.eigenvalues.tolist(),
-            "regularization_eps": result.sphering.regularization_eps,
+            "regularization_eps": DEFAULT_EIGENVALUE_FLOOR,
         },
         "iva": trace_summary(result.trace),
         "refinement": result.refinement.to_dict(),
@@ -210,7 +210,6 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
         transform = SpheringTransform(
             np.asarray(_json_list(_json_list(_json_float))(sph["matrix"])),
             np.asarray(_json_list(_json_float)(sph["eigenvalues"])),
-            _json_float(sph["regularization_eps"]),
         )
         convergence, refinement = run_report["iva"], run_report["refinement"]
         if not isinstance(convergence, dict) or not isinstance(refinement, dict):

@@ -38,11 +38,9 @@ class NumericalDivergenceError(ConvsepError):
 class SingularFilterError(ConvsepError):
     """A per-bin demixing matrix is singular or too ill-conditioned to invert."""
 
-    def __init__(self, bin_index, message=None):
+    def __init__(self, bin_index):
         self.bin_index = bin_index
-        if message is None:
-            message = f"demixing matrix is singular at frequency bin {bin_index}"
-        super().__init__(message)
+        super().__init__(f"demixing matrix is singular at frequency bin {bin_index}")
 
 
 class UndefinedSirError(ConvsepError):

@@ -77,20 +77,21 @@ _SYMMETRY_RTOL = 1e-10
 # once per kept bin; on the flagship frames (2 cores) the check took 2.3 ms
 # at one bin a pass and 0.9 ms at 8
 _SYMMETRY_BINS = 8
+# run_iva stops once the mean update norm falls to this share of its first
+_CONVERGENCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class IvaConfig:
-    """Step size, iteration budget, and stopping rule.
+    """Step size and iteration budget.
 
-    convergence_tol is relative: the loop stops once the mean update norm
-    falls below convergence_tol times its first-iteration value.
-    max_iterations must be an integer (a bool is not one).
+    max_iterations must be an integer (a bool is not one). run_iva stops
+    earlier once the mean update norm falls to _CONVERGENCE_TOL times its
+    first-iteration value.
     """
 
     step_size: float = 0.003
     max_iterations: int = 200
-    convergence_tol: float = 1e-6
 
     def __post_init__(self):
         if not 0 <= self.step_size <= 1:
@@ -99,10 +100,6 @@ class IvaConfig:
             raise ParameterError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0 <= self.convergence_tol < np.inf:
-            raise ParameterError(
-                f"convergence_tol must be finite and >= 0, got {self.convergence_tol}"
-            )
 
 
 @dataclass
@@ -165,14 +162,15 @@ def broadband_norms(outputs: SpectralFrames) -> np.ndarray:
     return np.sqrt(power).T
 
 
-def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralFrames:
-    """Multivariate score: each bin divided by its block's broadband norm.
+def score(outputs: SpectralFrames, norms: np.ndarray) -> SpectralFrames:
+    """Multivariate score: each bin divided by its block's broadband norm
+    plus float64's smallest normal number (a silent block scores 0).
 
     Raises ParameterError unless norms are finite (an infinite one, as
     broadband_norms gives a block past about 1.3e154, would zero that
     block's score), non-negative and (blocks, channels), or when the score
     is not finite: the outputs are not, or the norms do not belong to them
-    (a 0 norm on a nonzero block overflows at a tiny guard).
+    (a 0 norm on a nonzero block overflows).
     """
     norms = np.asarray(norms, dtype=np.float64)
     if norms.shape != (outputs.n_blocks, outputs.n_channels):
@@ -183,7 +181,7 @@ def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralF
     if not np.all((norms >= 0) & (norms < np.inf)):
         raise ParameterError("broadband norms must be finite and non-negative")
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = outputs.data / (norms.T[:, :, None] + guard)  # norms as (channels, blocks, 1)
+        phi = outputs.data / (norms.T[:, :, None] + np.finfo(np.float64).tiny)
     if not np.all(np.isfinite(phi)):
         raise ParameterError("score is not finite: the norms do not belong to the outputs")
     return outputs.with_data(phi)
@@ -192,13 +190,12 @@ def score(outputs: SpectralFrames, norms: np.ndarray, guard: float) -> SpectralF
 def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterBank, float, float]:
     """Natural-gradient update W <- W + mu [I - mean(Phi Y^H)] W.
 
-    Given SpectralFrames, Phi is score(outputs, norms, tiny) (float64's
-    smallest normal number) and mean(Phi Y^H) one complex product per bin
-    over the blocks, every bin weighted 1. Given the stacked mixture, it
-    comes from _chunk_pass, the interior bins weighted 2. The bracket and
-    the new bank are float64 (complex128) either way. Returns the new bank
-    plus the bin-weighted mean and the max Frobenius norm of the bracketed
-    term over bins (the convergence-trace entries).
+    Given SpectralFrames, Phi is score(outputs, norms) and mean(Phi Y^H) one
+    complex product per bin over the blocks, every bin weighted 1. Given the
+    stacked mixture, it comes from _chunk_pass, the interior bins weighted
+    2. The bracket and the new bank are float64 (complex128) either way.
+    Returns the new bank plus the bin-weighted mean and the max Frobenius
+    norm of the bracketed term over bins (the convergence-trace entries).
     Raises ParameterError when given outputs differ from the bank in bins
     or channels or score rejects them with their norms, or when the
     mixture is not float32 or float64 with K x the bank's channels as rows
@@ -220,7 +217,7 @@ def update_step(state: IterationState, cfg: IvaConfig) -> tuple[FrequencyFilterB
                     f"bank is {n_bins} bins x {channels} channels, "
                     f"outputs are {y.shape[0]} x {y.shape[1]}"
                 )
-            phi = score(state.outputs, state.norms, np.finfo(np.float64).tiny).data
+            phi = score(state.outputs, state.norms).data
             cross = phi.transpose(2, 0, 1) @ y.conj().transpose(0, 2, 1) / y.shape[2]
         else:
             weights[1:-1] = 2.0
@@ -403,7 +400,7 @@ def run_iva(frames: SpectralFrames, cfg: IvaConfig) -> tuple[DemixFilterBank, Co
             ) from exc
         mean_trace.append(mean_norm)
         max_trace.append(max_norm)
-        if mean_norm <= cfg.convergence_tol * mean_trace[0]:
+        if mean_norm <= _CONVERGENCE_TOL * mean_trace[0]:
             converged = True
             break
 

@@ -86,12 +86,12 @@ class SeparationReport:
     """Permutation assignment plus per-output quality figures in dB.
 
     sir_capped[j] is true where output j's SIR sits at +-DB_CAP: the figure
-    (and its improvement) is then only a bound on the true value."""
+    (and its improvement, sir_db - input_sir_db) is then only a bound."""
 
     assignment: tuple[int, ...]
     sir_db: tuple[float, ...]
     sdr_db: tuple[float, ...]
-    sir_improvement_db: tuple[float, ...]
+    sir_improvement_db: tuple[float, ...] = dataclasses.field(init=False)
     input_sir_db: tuple[float, ...]
     convergence: dict | None = None
     sir_capped: tuple[bool, ...] = dataclasses.field(init=False)
@@ -100,12 +100,14 @@ class SeparationReport:
         n = len(self.assignment)
         if sorted(self.assignment) != list(range(n)):
             raise ParameterError(f"assignment {self.assignment} is not a permutation")
-        for name in ("sir_db", "sdr_db", "sir_improvement_db", "input_sir_db"):
+        for name in ("sir_db", "sdr_db", "input_sir_db"):
             vals = getattr(self, name)
             if len(vals) != n:
                 raise ParameterError(f"{name} must have {n} entries")
             object.__setattr__(self, name, tuple(float(v) for v in vals))
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
+        improvement = tuple(o - i for o, i in zip(self.sir_db, self.input_sir_db))
+        object.__setattr__(self, "sir_improvement_db", improvement)
         object.__setattr__(self, "sir_capped", tuple(abs(v) == DB_CAP for v in self.sir_db))
 
     def to_dict(self) -> dict:
@@ -288,14 +290,11 @@ def evaluate_separation(
     assignment, sir_db = _assign(output_power)
     sdr_db = _sdr(outputs, refs, assignment, transient)
     in_sir = _input_sir(sensor_power)
-    per_output_input = tuple(in_sir[src] for src in assignment)
-    improvement = tuple(o - i for o, i in zip(sir_db, per_output_input))
     return SeparationReport(
         assignment=assignment,
         sir_db=sir_db,
         sdr_db=sdr_db,
-        sir_improvement_db=improvement,
-        input_sir_db=per_output_input,
+        input_sir_db=tuple(in_sir[src] for src in assignment),
         convergence=trace_summary(trace),
     )
 

@@ -133,14 +133,13 @@ class MixingSystem:
 class SimScenario:
     """Complete description of one synthetic recording session.
 
-    There are as many sensors as sources (square demixing). The sampling
-    interval, kernel length, conduction velocity, breathing period, heart
-    rate and per-kind image gains are this module's constants, the same for
-    every scenario. Every float value, in tuples too, must be finite, and
-    n_sources and seed must be integers (a bool is not one).
+    One source per source_kinds entry, and as many sensors as sources
+    (square demixing). The sampling interval, kernel length, conduction
+    velocity, breathing period, heart rate and per-kind image gains are this
+    module's constants, the same for every scenario. Every float value, in
+    tuples too, must be finite, and seed must be an integer (not a bool).
     """
 
-    n_sources: int = 4
     duration_s: float = 60.0
     source_kinds: tuple[str, ...] = ("emg_inspiratory", "emg_expiratory", "ecg", "noise")
     firing_rates_hz: tuple[float, ...] = (18.0, 18.0, 0.0, 0.0)
@@ -162,15 +161,14 @@ class SimScenario:
                 raise ParameterError(f"{f.name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.n_sources < 1:
-            raise ParameterError(f"n_sources must be >= 1, got {self.n_sources}")
+        if not self.source_kinds:
+            raise ParameterError("source_kinds must name at least one source")
         for name, tup in (
-            ("source_kinds", self.source_kinds),
             ("firing_rates_hz", self.firing_rates_hz),
             ("source_depths_m", self.source_depths_m),
         ):
             if len(tup) != self.n_sources:
-                raise ParameterError(f"{name} must have {self.n_sources} entries, got {len(tup)}")
+                raise ParameterError(f"{name} must match source_kinds in length, got {len(tup)}")
         for kind in self.source_kinds:
             if kind not in SOURCE_KINDS:
                 raise ParameterError(f"unknown source kind {kind!r} in source_kinds")
@@ -194,6 +192,10 @@ class SimScenario:
             raise ParameterError("source_depths_m must be positive")
         if self.n_samples < KERNEL_LENGTH:
             raise ParameterError(f"duration_s too short for one {KERNEL_LENGTH}-tap kernel")
+
+    @property
+    def n_sources(self) -> int:
+        return len(self.source_kinds)
 
     @property
     def n_samples(self) -> int:
@@ -427,7 +429,6 @@ def delayed_pair_scenario(seed: int = 0, **overrides) -> SimScenario:
     """Two always-active impulse sources with distinct inter-sensor delays of
     about four samples: separable convolutively, not instantaneously."""
     params = dict(
-        n_sources=2,
         duration_s=120.0,
         source_kinds=("emg", "emg"),
         firing_rates_hz=(13.0, 21.0),

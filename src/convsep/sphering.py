@@ -30,7 +30,6 @@ class SpheringTransform:
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
-    regularization_eps: float
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.float64)
@@ -53,7 +52,7 @@ class SpheringTransform:
 
     @classmethod
     def identity(cls, n_channels: int) -> "SpheringTransform":
-        return cls(np.eye(n_channels), np.ones(n_channels), 0.0)
+        return cls(np.eye(n_channels), np.ones(n_channels))
 
 
 def estimate_spatial_covariance(ts: TimeSeries) -> np.ndarray:
@@ -62,8 +61,7 @@ def estimate_spatial_covariance(ts: TimeSeries) -> np.ndarray:
         raise ParameterError(
             f"{ts.n_samples} samples for {ts.n_channels} channels; need n >= P"
         )
-    cov = ts.data @ ts.data.T / ts.n_samples
-    return 0.5 * (cov + cov.T)
+    return ts.data @ ts.data.T / ts.n_samples
 
 
 def compute_sphering(cov: np.ndarray) -> SpheringTransform:
@@ -83,11 +81,11 @@ def compute_sphering(cov: np.ndarray) -> SpheringTransform:
     if top <= 0:
         # zero (or negative-roundoff) covariance: fall back to the identity
         n = cov.shape[0]
-        return SpheringTransform(np.eye(n), np.zeros(n), DEFAULT_EIGENVALUE_FLOOR)
+        return SpheringTransform(np.eye(n), np.zeros(n))
     floored = np.maximum(eigenvalues, DEFAULT_EIGENVALUE_FLOOR * top)
     matrix = (eigenvectors * floored**-0.5) @ eigenvectors.T
     matrix = 0.5 * (matrix + matrix.T)
-    return SpheringTransform(matrix, floored, DEFAULT_EIGENVALUE_FLOOR)
+    return SpheringTransform(matrix, floored)
 
 
 def apply_sphering(transform: SpheringTransform, ts: TimeSeries) -> TimeSeries:

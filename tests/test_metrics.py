@@ -189,7 +189,7 @@ def evaluate_images(images, bank=IDENTITY_BANK):
         (lambda: sir(np.ones((2, 8))), ParameterError, "sources, outputs, samples"),
         (lambda: sir(np.ones((2, 3, 8))), ParameterError, "sources, outputs, samples"),
         (
-            lambda: SeparationReport((0, 1), (1.0,), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0)),
+            lambda: SeparationReport((0, 1), (1.0,), (1.0, 1.0), (1.0, 1.0)),
             ParameterError,
             "sir_db must have 2",
         ),
@@ -245,7 +245,7 @@ class TestProjectImages:
         ]
         mixed = TimeSeries(images[0].data + images[1].data, meta)
         bank = DemixFilterBank(rng.standard_normal((2, 2, 4)))
-        transform = SpheringTransform(np.array([[1.2, 0.1], [0.1, 0.8]]), np.ones(2), 1e-10)
+        transform = SpheringTransform(np.array([[1.2, 0.1], [0.1, 0.8]]), np.ones(2))
         return images, mixed, bank, transform
 
     def test_single_active_source_equals_output(self):
@@ -405,13 +405,11 @@ def public_steps_report(bank, sphering, images, dc_cutoff_hz, trace=None) -> dic
     assignment, sir_db = sir(contributions, transient)
     sdr_db = sdr(contributions, images, assignment, transient)
     in_sir = input_sir(images, transient)
-    per_output_input = tuple(in_sir[src] for src in assignment)
     return SeparationReport(
         assignment=assignment,
         sir_db=sir_db,
         sdr_db=sdr_db,
-        sir_improvement_db=tuple(o - i for o, i in zip(sir_db, per_output_input)),
-        input_sir_db=per_output_input,
+        input_sir_db=tuple(in_sir[src] for src in assignment),
         convergence=trace_summary(trace),
     ).to_dict()
 
@@ -481,12 +479,17 @@ class TestEvaluateSeparation:
 
     def test_rejects_bad_assignment(self):
         with pytest.raises(ParameterError):
-            SeparationReport((0, 0), (1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 1.0))
+            SeparationReport((0, 0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
 
     def test_capped_sir_is_marked(self):
         zeros = (0.0, 0.0, 0.0)
-        report = SeparationReport((1, 0, 2), (DB_CAP, 42.0, -DB_CAP), zeros, zeros, zeros)
+        report = SeparationReport((1, 0, 2), (DB_CAP, 42.0, -DB_CAP), zeros, zeros)
         assert report.sir_capped == (True, False, True)
+
+    def test_improvement_is_sir_over_input_sir(self):
+        report = SeparationReport((1, 0), (30.0, np.float64(12.5)), (1.0, 1.0), (-20.0, 2.5))
+        assert report.sir_improvement_db == (50.0, 10.0)
+        assert all(type(v) is float for v in report.sir_improvement_db)
 
 
 class TestCompareInstantaneous:

@@ -77,10 +77,10 @@ VALUE_TYPES = {
     ),
     "DemixFilterBank": (DemixFilterBank, "coeffs", np.ones((2, 2, 4)), ParameterError),
     "SpheringTransform.matrix": (
-        lambda a: SpheringTransform(a, np.ones(2), 0.0), "matrix", np.eye(2), ParameterError
+        lambda a: SpheringTransform(a, np.ones(2)), "matrix", np.eye(2), ParameterError
     ),
     "SpheringTransform.eigenvalues": (
-        lambda a: SpheringTransform(np.eye(2), a, 0.0), "eigenvalues", np.ones(2), ParameterError
+        lambda a: SpheringTransform(np.eye(2), a), "eigenvalues", np.ones(2), ParameterError
     ),
     "SourceSet": (
         lambda a: SourceSet(a, ("emg", "noise")), "signals", np.ones((2, 4)), ParameterError

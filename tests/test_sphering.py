@@ -36,7 +36,7 @@ def eigen_2x2(cov):
 def test_transform_rejects_malformed_fields(matrix, eigenvalues, match):
     # evaluate rebuilds the transform from run_report.json, so these guard file input
     with pytest.raises(ParameterError, match=match):
-        SpheringTransform(matrix, eigenvalues, 0.0)
+        SpheringTransform(matrix, eigenvalues)
 
 
 class TestCovariance:
@@ -92,7 +92,6 @@ class TestComputeSphering:
         t = compute_sphering(cov)
         assert np.all(np.isfinite(t.matrix))
         assert t.eigenvalues.min() == pytest.approx(DEFAULT_EIGENVALUE_FLOOR * 2.0)
-        assert t.regularization_eps == DEFAULT_EIGENVALUE_FLOOR
         # the retained direction is whitened to unit power
         out = t.matrix @ cov @ t.matrix.T
         top = vecs[:, 1]
@@ -142,7 +141,7 @@ class TestApplySphering:
 
     def test_zero_signal(self, make_ts):
         ts = make_ts(np.zeros((2, 10)))
-        t = SpheringTransform(np.eye(2) * 2.0, np.ones(2), 1e-10)
+        t = SpheringTransform(np.eye(2) * 2.0, np.ones(2))
         assert np.all(apply_sphering(t, ts).data == 0.0)
 
     def test_dimension_mismatch(self, make_ts):
