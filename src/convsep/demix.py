@@ -106,6 +106,7 @@ def demix_pipeline(ts: TimeSeries, cfg: PipelineConfig) -> PipelineResult:
     else:
         transform = SpheringTransform.identity(prepared.n_channels)
     sphered = apply_sphering(transform, prepared)
+    del prepared  # a highpassed copy is not read again; free it before the frames
 
     frames = center(stft(sphered, cfg.n_bins, cfg.filter_length, "zeropad"))
     iva_bank, trace = run_iva(frames, cfg.iva)

@@ -23,7 +23,6 @@ from .simulate import (
     CONDUCTION_VELOCITY_M_S,
     SAMPLE_INTERVAL_S,
     SimScenario,
-    Simulation,
     build_scenario,
 )
 from .spectral import DemixFilterBank
@@ -299,12 +298,14 @@ def evaluate_separation(
     )
 
 
-def _run_and_evaluate(sim: Simulation, cfg: PipelineConfig) -> SeparationReport:
-    result: PipelineResult = demix_pipeline(sim.mixed, cfg)
+def _run_and_evaluate(
+    mixed: TimeSeries, images: list[TimeSeries], cfg: PipelineConfig
+) -> SeparationReport:
+    result: PipelineResult = demix_pipeline(mixed, cfg)
     return evaluate_separation(
         result.bank,
         result.sphering,
-        sim.images,
+        images,
         dc_cutoff_hz=cfg.dc_cutoff_hz,
         trace=result.trace,
     )
@@ -316,8 +317,12 @@ def compare_instantaneous(
     """Run the identical pipeline twice on one simulated mixture, once with
     an instantaneous demixer (L=1) and once with the configured length."""
     sim = build_scenario(scenario)
+    # the runs read only the mixture and the images: release the source
+    # signals and kernels before the first one
+    mixed, images = sim.mixed, sim.images
+    del sim
     cfg_inst = dc_replace(cfg, filter_length=1)
-    return _run_and_evaluate(sim, cfg_inst), _run_and_evaluate(sim, cfg)
+    return _run_and_evaluate(mixed, images, cfg_inst), _run_and_evaluate(mixed, images, cfg)
 
 
 def physical_path_length(filter_length: int) -> float:

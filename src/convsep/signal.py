@@ -27,14 +27,23 @@ __all__ = [
 ]
 
 
+# values per slice of _frozen_array's finiteness check: a 16 KiB mask,
+# where one over the whole flagship frames would take 0.49 MB
+_FINITE_CHUNK = 1 << 14
+
+
 def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarray:
     """arr as a C-contiguous read-only array; error if any value is not finite.
 
     A C-contiguous arr is frozen in place, not copied (the pipeline holds
-    one copy of each stage's result): pass a copy to keep a buffer writable."""
-    if not np.all(np.isfinite(arr)):
-        raise error(f"non-finite values in {what}")
+    one copy of each stage's result): pass a copy to keep a buffer writable.
+    Finiteness (both parts of a complex value) is checked over fixed slices
+    of the flat array, so no temporary the array's size is made."""
     arr = np.ascontiguousarray(arr)
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[start : start + _FINITE_CHUNK]).all():
+            raise error(f"non-finite values in {what}")
     arr.setflags(write=False)
     return arr
 
@@ -186,9 +195,10 @@ def read_raw(path, header) -> TimeSeries:
             f"header requires {expected} ({channels} channels x {samples} samples)"
         )
     data = np.ascontiguousarray(payload.reshape(samples, channels).T, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: payload contains non-finite values")
-    return TimeSeries(data, meta)
+    try:
+        return TimeSeries(data, meta)  # the one finiteness scan of the payload
+    except DataError as exc:
+        raise DataError(f"{path}: payload contains non-finite values") from exc
 
 
 def write_raw(ts: TimeSeries, path, header) -> None:

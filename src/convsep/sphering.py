@@ -38,13 +38,16 @@ class SpheringTransform:
             raise ParameterError(f"matrix must be square, got {mat.shape}")
         if eig.shape != (mat.shape[0],):
             raise ParameterError("one eigenvalue per channel required")
+        # finite first: an infinity would make the symmetry test inf - inf
+        mat = _frozen_array(mat, "sphering matrix")
+        eig = _frozen_array(eig, "eigenvalues")
         scale = max(float(np.max(np.abs(mat))), 1.0)
         if float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
             raise ParameterError("sphering matrix must be symmetric")
         if np.any(eig < 0):
             raise ParameterError("eigenvalues must be non-negative after flooring")
-        object.__setattr__(self, "matrix", _frozen_array(mat, "sphering matrix"))
-        object.__setattr__(self, "eigenvalues", _frozen_array(eig, "eigenvalues"))
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", eig)
 
     @property
     def n_channels(self) -> int:

@@ -232,6 +232,23 @@ class TestPipeline:
         result = demix_pipeline(ts, cfg)
         np.testing.assert_array_equal(result.sphering.matrix, np.eye(2))
 
+    def test_peak_memory_within_two_frames_and_a_quarter_signal(self, traced_peak):
+        # flagship seed 0 at 2 iterations: at the centering peak the
+        # pipeline holds both frames and the sphered signal, and no
+        # highpassed copy or array-sized check temporary beside them
+        from convsep.simulate import build_scenario, respiratory_scenario
+
+        mixed = build_scenario(respiratory_scenario(seed=0, duration_s=60.0)).mixed
+        cfg = PipelineConfig(
+            filter_length=64,
+            dc_cutoff_hz=15.0,
+            iva=IvaConfig(step_size=0.003, max_iterations=2),
+        )
+        blocks = (mixed.n_samples - cfg.n_bins) // cfg.filter_length + 1
+        frames_bytes = mixed.n_channels * blocks * cfg.n_bins * 16
+        peak = traced_peak(demix_pipeline, mixed, cfg)
+        assert peak <= 2 * frames_bytes + 1.25 * mixed.data.nbytes
+
     def test_rejects_non_power_of_two_length(self):
         with pytest.raises(ParameterError):
             PipelineConfig(filter_length=48)

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -506,6 +507,25 @@ class TestCompareInstantaneous:
         assert len(inst.sir_db) == len(conv.sir_db) == 2
         # the convolutive demixer has room the instantaneous one lacks
         assert np.mean(conv.sir_db) > np.mean(inst.sir_db)
+
+    def test_sources_and_kernels_released_before_the_runs(self, monkeypatch):
+        # both runs read only the mixture and the images
+        watched, alive = [], []
+
+        def build_and_watch(scenario):
+            sim = build_scenario(scenario)
+            watched.extend([weakref.ref(sim.sources), weakref.ref(sim.system)])
+            return sim
+
+        def run_and_check(ts, cfg):
+            alive.append([ref() is not None for ref in watched])
+            return demix_pipeline(ts, cfg)
+
+        monkeypatch.setattr(metrics, "build_scenario", build_and_watch)
+        monkeypatch.setattr(metrics, "demix_pipeline", run_and_check)
+        cfg = PipelineConfig(filter_length=16, iva=IvaConfig(step_size=0.01, max_iterations=2))
+        metrics.compare_instantaneous(delayed_pair_scenario(seed=2, duration_s=5.0), cfg)
+        assert alive == [[False, False], [False, False]]
 
 
 class TestMovingRms:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from convsep.errors import DataError, FormatError, ParameterError
 from convsep.iva import ConvergenceTrace, write_trace_csv
 from convsep.metrics import write_envelopes_csv
 from convsep.signal import (
+    _FINITE_CHUNK,
     SignalMetadata,
     TimeSeries,
     highpass_dc_removal,
@@ -42,6 +44,14 @@ class TestTimeSeries:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             TimeSeries(np.array([[0.0, np.nan]]), SignalMetadata(1e-3, ("a",)))
+
+    @pytest.mark.parametrize("where", [0, _FINITE_CHUNK - 1, _FINITE_CHUNK, -1])
+    def test_rejects_nonfinite_in_any_slice(self, where):
+        # the check scans fixed slices: a value at either edge of one is seen
+        data = np.zeros((3, _FINITE_CHUNK))
+        data.flat[where] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            TimeSeries(data, SignalMetadata(1e-3, ("a", "b", "c")))
 
     def test_rejects_label_mismatch(self):
         with pytest.raises(ParameterError):
@@ -114,10 +124,15 @@ class TestFrozenValueArrays:
 
     def test_nan_rejected(self, name):
         build, _, valid, error = VALUE_TYPES[name]
-        bad = valid.copy()
-        bad.flat[0] = np.nan
-        with pytest.raises(error, match="non-finite"):
-            build(bad)
+        bad_values = [np.nan, np.inf, -np.inf]
+        if np.iscomplexobj(valid):
+            # a non-finite imaginary part alone
+            bad_values += [complex(0.0, np.nan), complex(0.0, -np.inf)]
+        for value in bad_values:
+            bad = valid.copy()
+            bad.flat[0] = value
+            with pytest.raises(error, match="non-finite"):
+                build(bad)
 
 
 class TestRawIO:
@@ -169,7 +184,7 @@ class TestRawIO:
                 {"channels": 1, "samples": 2, "sample_interval_s": 1e-3, "labels": ["a"]}
             )
         )
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(str(raw))):
             read_raw(raw, header)
 
     @pytest.mark.parametrize(

@@ -157,6 +157,14 @@ class TestCenter:
         rms = np.sqrt(np.mean(np.abs(frames.data) ** 2))
         assert np.all(np.abs(center(shifted).data.mean(axis=1)) < 1e-12 * max(rms, 1.0))
 
+    def test_peak_memory_near_frames_size(self, traced_peak):
+        # the flagship's frames (4 channels, 959 blocks of 128 bins): the
+        # result is the only array-sized allocation
+        rng = np.random.default_rng(5)
+        shape = (4, 959, 128)
+        frames = SpectralFrames(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert traced_peak(center, frames) <= 1.02 * frames.data.nbytes
+
 
 class TestFilterTransforms:
     def test_identity_bank_to_time(self):
