@@ -23,7 +23,7 @@ from .errors import (
     UndefinedSirError,
 )
 from .iva import IvaConfig, write_trace_csv
-from .metrics import evaluate_separation, trace_summary, write_envelopes_csv
+from .metrics import evaluate_separation, write_envelopes_csv
 from .signal import (
     SignalMetadata,
     TimeSeries,
@@ -46,7 +46,7 @@ from .simulate import (
     respiratory_scenario,
 )
 from .spectral import load_filter_bank, save_filter_bank
-from .sphering import DEFAULT_EIGENVALUE_FLOOR, SpheringTransform
+from .sphering import SpheringTransform
 
 __all__ = ["main"]
 
@@ -183,13 +183,11 @@ def cmd_separate(out_dir: Path, cfg: PipelineConfig) -> None:
     save_filter_bank(result.bank, out_dir / "filterbank.raw", out_dir / "filterbank.json")
     write_trace_csv(result.trace, out_dir / "convergence.csv")
     report = {
-        "filter_length": cfg.filter_length,
         "sphering": {
             "matrix": result.sphering.matrix.tolist(),
             "eigenvalues": result.sphering.eigenvalues.tolist(),
-            "regularization_eps": DEFAULT_EIGENVALUE_FLOOR,
         },
-        "iva": trace_summary(result.trace),
+        "iva": result.trace.summary(),
         "refinement": result.refinement.to_dict(),
     }
     write_json(report, out_dir / "run_report.json")
@@ -211,16 +209,10 @@ def cmd_evaluate(out_dir: Path, scenario: SimScenario, cfg: PipelineConfig) -> N
             np.asarray(_json_list(_json_list(_json_float))(sph["matrix"])),
             np.asarray(_json_list(_json_float)(sph["eigenvalues"])),
         )
-        convergence, refinement = run_report["iva"], run_report["refinement"]
-        if not isinstance(convergence, dict) or not isinstance(refinement, dict):
-            raise ValueError("iva and refinement must be JSON objects")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot read run report {run_report_path}: {exc}") from exc
     report = evaluate_separation(bank, transform, images, dc_cutoff_hz=cfg.dc_cutoff_hz)
-    payload = report.to_dict()
-    payload["convergence"] = convergence
-    payload["refinement"] = refinement
-    write_json(payload, out_dir / "report.json")
+    write_json(report.to_dict(), out_dir / "report.json")
 
 
 def _check_echo(out_dir: Path, echo: dict) -> None:

@@ -10,7 +10,7 @@ identity bank and for pure delays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +42,9 @@ class PipelineConfig:
 
     The framing follows from filter_length L, an integer power of two (not
     a bool): 2L-point frames, zero-padded after their first L samples, one
-    filter length apart. dc_cutoff_hz=None skips the highpass stage (the
-    cutoff has no principled default here).
+    filter length apart. dc_cutoff_hz is a real number (not a bool), or
+    None, which skips the highpass stage (the cutoff has no principled
+    default here).
     """
 
     filter_length: int = 64
@@ -58,10 +59,11 @@ class PipelineConfig:
             raise ParameterError(
                 f"filter length must be a power of two, got {self.filter_length}"
             )
-        if self.dc_cutoff_hz is not None and not 0 < self.dc_cutoff_hz < np.inf:
-            raise ParameterError(
-                f"dc_cutoff_hz must be finite and positive, got {self.dc_cutoff_hz}"
-            )
+        cutoff = self.dc_cutoff_hz
+        if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, Real)):
+            raise ParameterError(f"dc_cutoff_hz must be a real number or None, got {cutoff!r}")
+        if cutoff is not None and not 0 < cutoff < np.inf:
+            raise ParameterError(f"dc_cutoff_hz must be finite and positive, got {cutoff}")
 
     @property
     def n_bins(self) -> int:

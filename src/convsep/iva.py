@@ -33,7 +33,7 @@ update itself with the chunk pass, so the loop they make checks run_iva.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -85,15 +85,17 @@ _CONVERGENCE_TOL = 1e-6
 class IvaConfig:
     """Step size and iteration budget.
 
-    max_iterations must be an integer (a bool is not one). run_iva stops
-    earlier once the mean update norm falls to _CONVERGENCE_TOL times its
-    first-iteration value.
+    step_size must be a real number and max_iterations an integer (a bool
+    is neither). run_iva stops earlier once the mean update norm falls to
+    _CONVERGENCE_TOL times its first-iteration value.
     """
 
     step_size: float = 0.003
     max_iterations: int = 200
 
     def __post_init__(self):
+        if isinstance(self.step_size, bool) or not isinstance(self.step_size, Real):
+            raise ParameterError(f"step_size must be a real number, got {self.step_size!r}")
         if not 0 <= self.step_size <= 1:
             raise ParameterError(f"step_size must be in [0, 1], got {self.step_size}")
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
@@ -141,6 +143,19 @@ class ConvergenceTrace:
     @property
     def iterations(self) -> int:
         return len(self.mean_update_norm)
+
+    def summary(self) -> dict:
+        """JSON-ready summary of the run. The discarded energy describes this
+        stage's bank, before the time-domain refinement of one of its rows,
+        hence its iva_bank_ prefix."""
+        norms = self.mean_update_norm
+        return {
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "initial_mean_update_norm": norms[0] if norms else None,
+            "final_mean_update_norm": norms[-1] if norms else None,
+            "iva_bank_discarded_lag_energy": self.discarded_lag_energy,
+        }
 
 
 def forward_pass(fb: FrequencyFilterBank, frames: SpectralFrames) -> SpectralFrames:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .demix import PipelineConfig, PipelineResult, apply_mimo_fir, demix_pipeline
 from .errors import ParameterError, UndefinedSirError
-from .iva import ConvergenceTrace
 from .signal import TimeSeries, _open_new, highpass_dc_removal
 from .simulate import (
     CONDUCTION_VELOCITY_M_S,
@@ -41,7 +40,6 @@ __all__ = [
     "compare_instantaneous",
     "physical_path_length",
     "moving_rms",
-    "trace_summary",
     "write_envelopes_csv",
 ]
 
@@ -235,31 +233,17 @@ def input_sir(images: list, transient: int = 0) -> tuple[float, ...]:
     return _input_sir(np.stack([_sensor_power_and_reference(img.data, transient)[0] for img in images]))
 
 
-def trace_summary(trace: ConvergenceTrace | None) -> dict | None:
-    """JSON-ready summary of the frequency-domain stage. The discarded
-    energy describes that stage's bank, before the time-domain refinement
-    of one of its rows, hence its iva_bank_ prefix."""
-    if trace is None:
-        return None
-    return {
-        "iterations": trace.iterations,
-        "converged": trace.converged,
-        "initial_mean_update_norm": trace.mean_update_norm[0] if trace.mean_update_norm else None,
-        "final_mean_update_norm": trace.mean_update_norm[-1] if trace.mean_update_norm else None,
-        "iva_bank_discarded_lag_energy": trace.discarded_lag_energy,
-    }
-
-
 def evaluate_separation(
     bank: DemixFilterBank,
     sphering: SpheringTransform,
     images: list,
     dc_cutoff_hz: float | None = None,
-    trace: ConvergenceTrace | None = None,
+    trace=None,
 ) -> SeparationReport:
     """Full report: assignment, SIR, SDR, and improvement over the best
     unprocessed sensor, skipping the filter transient (the first filter
-    length of samples).
+    length of samples). The report's convergence is trace.summary(), from
+    the separation stage's record, or None without one.
 
     The figures of highpassing every image, then project_images, sir, sdr
     and input_sir, taken one source at a time: no array holds every
@@ -294,7 +278,7 @@ def evaluate_separation(
         sir_db=sir_db,
         sdr_db=sdr_db,
         input_sir_db=tuple(in_sir[src] for src in assignment),
-        convergence=trace_summary(trace),
+        convergence=None if trace is None else trace.summary(),
     )
 
 

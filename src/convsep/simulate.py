@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -136,8 +136,9 @@ class SimScenario:
     One source per source_kinds entry, and as many sensors as sources
     (square demixing). The sampling interval, kernel length, conduction
     velocity, breathing period, heart rate and per-kind image gains are this
-    module's constants, the same for every scenario. Every float value, in
-    tuples too, must be finite, and seed must be an integer (not a bool).
+    module's constants, the same for every scenario. Every float field, and
+    every entry of a float tuple, must be a finite real number, and seed an
+    integer (a bool is neither).
     """
 
     duration_s: float = 60.0
@@ -154,9 +155,12 @@ class SimScenario:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ParameterError(f"{f.name} must be finite, got {value}")
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if f.type in ("float", "tuple[float, ...]"):
+                if any(isinstance(v, bool) or not isinstance(v, Real) for v in values):
+                    raise ParameterError(f"{f.name} must hold real numbers, got {value!r}")
+                if not all(math.isfinite(v) for v in values):
+                    raise ParameterError(f"{f.name} must be finite, got {value}")
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
                 raise ParameterError(f"{f.name} must be an integer, got {value!r}")
         if self.seed < 0:

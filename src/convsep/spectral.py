@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import DataError, FormatError, ParameterError
 from .signal import (
     TimeSeries,
     _frozen_array,
@@ -285,4 +285,7 @@ def load_filter_bank(path, header) -> DemixFilterBank:
         raise FormatError(
             f"{path}: payload holds {payload.size} float64 values, header requires {expected}"
         )
-    return DemixFilterBank(payload.reshape(channels, channels, length))
+    try:
+        return DemixFilterBank(payload.reshape(channels, channels, length))
+    except ParameterError as exc:  # the shape is checked, so the values are not finite
+        raise DataError(f"{path}: payload contains non-finite values") from exc

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import pytest
 
 import convsep
 from convsep.cli import CONFIG_FIELDS, main
-from convsep.metrics import moving_rms
+from convsep.metrics import SeparationReport, moving_rms
 from convsep.signal import SignalMetadata, TimeSeries, read_raw, write_raw
 from convsep.spectral import load_filter_bank
 
@@ -211,7 +212,7 @@ def test_config_key_set_is_pinned(tmp_path):
 
 
 RUN_REPORT_KEYS = {
-    "sphering": {"matrix", "eigenvalues", "regularization_eps"},
+    "sphering": {"matrix", "eigenvalues"},
     "iva": {
         "iterations", "converged", "initial_mean_update_norm", "final_mean_update_norm",
         "iva_bank_discarded_lag_energy",
@@ -225,7 +226,7 @@ def test_run_report_key_set_is_pinned(tmp_path):
     write_config(cfg)
     assert main(["pipeline", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
-    assert set(report) == {"filter_length", *RUN_REPORT_KEYS}
+    assert set(report) == set(RUN_REPORT_KEYS)
     assert {section: set(report[section]) for section in RUN_REPORT_KEYS} == RUN_REPORT_KEYS
 
 
@@ -342,10 +343,6 @@ CORRUPT_RUN_REPORTS = {
     ),
     "string-matrix": lambda report: with_sphering(report, matrix="ab"),
     "not-an-object": lambda report: "[1, 2]",
-    "missing-iva": lambda report: json.dumps({k: v for k, v in report.items() if k != "iva"}),
-    "missing-refinement": lambda report: json.dumps(
-        {k: v for k, v in report.items() if k != "refinement"}
-    ),
 }
 
 
@@ -355,6 +352,9 @@ class TestEvaluateCommand:
         write_config(cfg)
         assert main(["pipeline", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
+        # the scorer's own fields, and nothing copied from run_report.json
+        assert set(report) == {field.name for field in dataclasses.fields(SeparationReport)}
+        assert report["convergence"] is None
         assert sorted(report["assignment"]) == [0, 1, 2, 3]
         assert len(report["sir_db"]) == 4
         out = tmp_path / "out"
@@ -401,6 +401,30 @@ class TestEvaluateCommand:
             (out / "separated.json").unlink()
         assert main(["evaluate", "--config", str(cfg)]) == 0
         assert (out / "report.json").read_bytes() == (untouched / "report.json").read_bytes()
+
+    def test_scores_from_the_sphering_section_alone(self, tmp_path, separated_diagonal):
+        # the scorer reads nothing of the separation stage's own record
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+        full, out = tmp_path / "full", tmp_path / "out"
+        shutil.copytree(separated_diagonal, full)
+        assert main(["evaluate", "--config", str(cfg), "--out", str(full)]) == 0
+        shutil.copytree(separated_diagonal, out)
+        report = json.loads((out / "run_report.json").read_text())
+        (out / "run_report.json").write_text(json.dumps({"sphering": report["sphering"]}))
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert (out / "report.json").read_bytes() == (full / "report.json").read_bytes()
+
+    def test_non_finite_bank_names_the_file(self, tmp_path, capsys, separated_diagonal):
+        out = tmp_path / "out"
+        shutil.copytree(separated_diagonal, out)
+        with open(out / "filterbank.raw", "r+b") as fh:
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "filterbank.raw" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_RUN_REPORTS))
     def test_corrupt_run_report_exits_2(self, tmp_path, capsys, separated_diagonal, corruption):

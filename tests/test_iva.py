@@ -119,11 +119,16 @@ class TestIvaConfig:
             {"max_iterations": 2.5},
             {"max_iterations": 200.0},
             {"max_iterations": True},
+            {"step_size": True},
+            {"step_size": "0.1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             IvaConfig(**kwargs)
+
+    def test_accepts_numpy_reals(self):
+        assert IvaConfig(step_size=np.float32(0.5), max_iterations=np.int64(3)).step_size == 0.5
 
 
 FRAMES_2CH = frames_from(np.ones((2, 3, 4)))

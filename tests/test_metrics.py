@@ -20,7 +20,6 @@ from convsep.metrics import (
     project_images,
     sdr,
     sir,
-    trace_summary,
     write_envelopes_csv,
 )
 from convsep.signal import SignalMetadata, TimeSeries, highpass_dc_removal
@@ -411,7 +410,7 @@ def public_steps_report(bank, sphering, images, dc_cutoff_hz, trace=None) -> dic
         sir_db=sir_db,
         sdr_db=sdr_db,
         input_sir_db=tuple(in_sir[src] for src in assignment),
-        convergence=trace_summary(trace),
+        convergence=None if trace is None else trace.summary(),
     ).to_dict()
 
 

@@ -285,6 +285,27 @@ class TestBuildScenario:
             SimScenario(**overrides)
         assert SimScenario(seed=np.int64(1)).seed == 1
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"duration_s": True}, "duration_s"),
+            ({"duration_s": "60"}, "duration_s"),
+            ({"end_of_fiber_amp": True}, "end_of_fiber_amp"),
+            ({"kernel_gain_jitter": None}, "kernel_gain_jitter"),
+            ({"firing_rates_hz": (18.0, True, 0.0, 0.0)}, "firing_rates_hz"),
+            ({"source_depths_m": (0.01, "0.012", 0.02, 0.015)}, "source_depths_m"),
+            ({"lateral_attenuation": np.float32("nan")}, "lateral_attenuation"),
+            ({"source_depths_m": (0.01, 0.012, np.float32("inf"), 0.015)}, "source_depths_m"),
+        ],
+    )
+    def test_non_real_float_rejected_at_construction(self, overrides, key):
+        # True would pass as 1.0 (a 1,025-sample recording for duration_s), a
+        # string fail a range test with a TypeError, and a numpy NaN pass
+        with pytest.raises(ParameterError, match=key):
+            respiratory_scenario(**overrides)
+        scenario = respiratory_scenario(duration_s=np.float32(2.0), firing_rates_hz=(18, 18, 0, 0))
+        assert scenario.n_samples == 2049
+
     def test_propagation_delay_checked_at_construction(self):
         # 2 + 3 * d / (4 * 0.976e-3) <= 15 holds up to d = 0.016917 m
         build_scenario(respiratory_scenario(sensor_spacing_m=0.0169, duration_s=2.0))
