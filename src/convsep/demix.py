@@ -10,15 +10,12 @@ identity bank and for pure delays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ParameterError
 from .iva import ConvergenceTrace, IvaConfig, run_iva
 from .refine import RefinementTrace, refine_bank
-from .signal import SignalMetadata, TimeSeries, highpass_dc_removal
+from .signal import SignalMetadata, TimeSeries, _integer, _real, highpass_dc_removal
 from .spectral import DemixFilterBank, _is_power_of_two, _mimo_fir, center, stft
 from .sphering import (
     SpheringTransform,
@@ -40,11 +37,11 @@ class PipelineConfig:
     """Everything demix_pipeline needs: the filter length, preprocessing,
     and the separation settings.
 
-    The framing follows from filter_length L, an integer power of two (not
-    a bool): 2L-point frames, zero-padded after their first L samples, one
-    filter length apart. dc_cutoff_hz is a real number (not a bool), or
-    None, which skips the highpass stage (the cutoff has no principled
-    default here).
+    The framing follows from filter_length L, an integer power of two:
+    2L-point frames, zero-padded after their first L samples, one filter
+    length apart. dc_cutoff_hz is a finite positive real number, or None,
+    which skips the highpass stage (the cutoff has no principled default
+    here).
     """
 
     filter_length: int = 64
@@ -53,17 +50,13 @@ class PipelineConfig:
     iva: IvaConfig = field(default_factory=IvaConfig)
 
     def __post_init__(self):
-        if isinstance(self.filter_length, bool) or not isinstance(self.filter_length, Integral):
-            raise ParameterError(f"filter length must be an integer, got {self.filter_length!r}")
+        _integer(self.filter_length, "filter length")
         if not _is_power_of_two(self.filter_length):
-            raise ParameterError(
-                f"filter length must be a power of two, got {self.filter_length}"
-            )
-        cutoff = self.dc_cutoff_hz
-        if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, Real)):
-            raise ParameterError(f"dc_cutoff_hz must be a real number or None, got {cutoff!r}")
-        if cutoff is not None and not 0 < cutoff < np.inf:
-            raise ParameterError(f"dc_cutoff_hz must be finite and positive, got {cutoff}")
+            raise ParameterError(f"filter length must be a power of two, got {self.filter_length}")
+        if self.dc_cutoff_hz is not None:
+            _real(self.dc_cutoff_hz, "dc_cutoff_hz")
+            if self.dc_cutoff_hz <= 0:
+                raise ParameterError(f"dc_cutoff_hz must be positive, got {self.dc_cutoff_hz}")
 
     @property
     def n_bins(self) -> int:

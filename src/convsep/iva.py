@@ -33,12 +33,11 @@ update itself with the chunk pass, so the loop they make checks run_iva.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import NumericalDivergenceError, ParameterError, SingularFilterError
-from .signal import _open_new
+from .signal import _integer, _open_new, _real
 from .spectral import DemixFilterBank, FrequencyFilterBank, SpectralFrames
 
 __all__ = [
@@ -85,8 +84,8 @@ _CONVERGENCE_TOL = 1e-6
 class IvaConfig:
     """Step size and iteration budget.
 
-    step_size must be a real number and max_iterations an integer (a bool
-    is neither). run_iva stops earlier once the mean update norm falls to
+    step_size is a real number in [0, 1] and max_iterations a positive
+    integer. run_iva stops earlier once the mean update norm falls to
     _CONVERGENCE_TOL times its first-iteration value.
     """
 
@@ -94,12 +93,10 @@ class IvaConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if isinstance(self.step_size, bool) or not isinstance(self.step_size, Real):
-            raise ParameterError(f"step_size must be a real number, got {self.step_size!r}")
+        _real(self.step_size, "step_size")
         if not 0 <= self.step_size <= 1:
             raise ParameterError(f"step_size must be in [0, 1], got {self.step_size}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
-            raise ParameterError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        _integer(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -8,9 +8,11 @@ described by a small JSON header.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -48,6 +50,22 @@ def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarra
     return arr
 
 
+def _real(value, name: str) -> None:
+    """ParameterError unless value is a real number, not a bool, finite as a float."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _integer(value, name: str) -> None:
+    """ParameterError unless value is an integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SignalMetadata:
     """Sampling interval in seconds (finite, positive) plus one text label per channel."""
@@ -56,10 +74,9 @@ class SignalMetadata:
     channel_labels: tuple[str, ...]
 
     def __post_init__(self):
-        if not 0 < self.sample_interval_s < np.inf:
-            raise ParameterError(
-                f"sample_interval_s must be finite and positive, got {self.sample_interval_s}"
-            )
+        _real(self.sample_interval_s, "sample_interval_s")
+        if self.sample_interval_s <= 0:
+            raise ParameterError(f"sample_interval_s must be positive, got {self.sample_interval_s}")
         object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
 
 
@@ -97,17 +114,15 @@ class TimeSeries:
 
 
 def _json_int(value) -> int:
-    """A JSON integer, or a float with an integral value; never a boolean."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"expected an integer, got {value!r}")
+    """A JSON integer, or a float with an integral value."""
+    if not (isinstance(value, float) and value.is_integer()):
+        _integer(value, "value")
     return int(value)
 
 
 def _json_float(value) -> float:
-    """A JSON number; never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    """A JSON number, finite."""
+    _real(value, "value")
     return float(value)
 
 
@@ -223,9 +238,7 @@ def highpass_dc_removal(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:
     """
     nyquist = 0.5 / ts.meta.sample_interval_s
     if not 0 < cutoff_hz < nyquist:
-        raise ParameterError(
-            f"cutoff {cutoff_hz} Hz outside (0, {nyquist}) Hz"
-        )
+        raise ParameterError(f"cutoff {cutoff_hz} Hz outside (0, {nyquist}) Hz")
     a = np.exp(-2.0 * np.pi * cutoff_hz * ts.meta.sample_interval_s)
     g = 0.5 * (1.0 + a)
     x = ts.data

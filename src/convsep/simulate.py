@@ -16,16 +16,14 @@ this module's constants; they take only what varies.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .signal import SignalMetadata, TimeSeries, _frozen_array
+from .signal import SignalMetadata, TimeSeries, _frozen_array, _integer, _real
 
 __all__ = [
     "SOURCE_KINDS",
@@ -136,9 +134,8 @@ class SimScenario:
     One source per source_kinds entry, and as many sensors as sources
     (square demixing). The sampling interval, kernel length, conduction
     velocity, breathing period, heart rate and per-kind image gains are this
-    module's constants, the same for every scenario. Every float field, and
-    every entry of a float tuple, must be a finite real number, and seed an
-    integer (a bool is neither).
+    module's constants, the same for every scenario. Float fields and the
+    entries of float tuples are finite real numbers, and seed an integer.
     """
 
     duration_s: float = 60.0
@@ -155,14 +152,11 @@ class SimScenario:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            values = value if isinstance(value, (tuple, list)) else (value,)
             if f.type in ("float", "tuple[float, ...]"):
-                if any(isinstance(v, bool) or not isinstance(v, Real) for v in values):
-                    raise ParameterError(f"{f.name} must hold real numbers, got {value!r}")
-                if not all(math.isfinite(v) for v in values):
-                    raise ParameterError(f"{f.name} must be finite, got {value}")
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+                for v in value if isinstance(value, (tuple, list)) else (value,):
+                    _real(v, f.name)
+            if f.type == "int":
+                _integer(value, f.name)
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not self.source_kinds:

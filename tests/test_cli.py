@@ -143,13 +143,18 @@ class TestSimulateCommand:
                 {"scenario": {"kind": "diagonal", "duration_s": 2.0}, "stft": {"filter_length": 1024}},
                 "stft.filter_length",
             ),
+            # JSON integers too large for a float
+            ({"scenario": {"duration_s": 10**400}}, "scenario.duration_s"),
+            ({"preprocess": {"dc_cutoff_hz": 10**400}}, "preprocess.dc_cutoff_hz"),
+            ({"iva": {"step_size": 10**400}}, "iva.step_size"),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, key):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         assert main(["simulate", "--config", str(cfg)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("convsep: error:") and key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_readme_full_config_runs(self, tmp_path):
@@ -246,6 +251,19 @@ class TestSeparateCommand:
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         assert main(["separate", "--config", str(cfg)]) == 2
+
+    def test_header_interval_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        recording = TimeSeries(np.ones((1, 64)), SignalMetadata(1e-3, ("a",)))
+        write_raw(recording, out / "mixed.raw", out / "mixed.json")
+        header = json.loads((out / "mixed.json").read_text())
+        (out / "mixed.json").write_text(json.dumps({**header, "sample_interval_s": 10**400}))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["separate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("convsep: error:") and "mixed.json" in err
 
     def test_filter_length_flag_reaches_bank(self, tmp_path):
         cfg = tmp_path / "cfg.json"

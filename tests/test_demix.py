@@ -260,9 +260,13 @@ class TestPipeline:
             PipelineConfig(filter_length=length)
         assert PipelineConfig(filter_length=np.int64(64)).n_bins == 128
 
-    @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan"), float("inf"), True, "15"])
+    @pytest.mark.parametrize(
+        "cutoff",
+        [0.0, -1.0, float("nan"), float("inf"), True, "15", pytest.param(10**400, id="int-1e400")],
+    )
     def test_rejects_bad_cutoff(self, cutoff):
-        # True would pass as 1 Hz, "15" fail the range test with a TypeError
+        # True would pass as 1 Hz, "15" fail the range test with a TypeError, and
+        # an integer too large for a float pass it
         with pytest.raises(ParameterError, match="dc_cutoff_hz"):
             PipelineConfig(dc_cutoff_hz=cutoff)
         assert PipelineConfig(dc_cutoff_hz=np.float32(15.0)).dc_cutoff_hz == 15.0

@@ -62,8 +62,10 @@ class TestTimeSeries:
             TimeSeries(np.zeros((2, 0)), SignalMetadata(1e-3, ("a", "b")))
 
     def test_rejects_bad_interval(self):
-        with pytest.raises(ParameterError):
-            SignalMetadata(0.0, ("a",))
+        # True would pass as 1 s, and "0.001" fail the range test with a TypeError
+        for interval in (0.0, float("nan"), True, "0.001", 10**400):
+            with pytest.raises(ParameterError, match="sample_interval_s"):
+                SignalMetadata(interval, ("a",))
 
     def test_data_is_readonly(self):
         ts = TimeSeries(np.zeros((1, 4)), SignalMetadata(1e-3, ("a",)))
@@ -202,6 +204,7 @@ class TestRawIO:
             {"labels": ["a"]},
             {"sample_interval_s": 0.0},
             {"sample_interval_s": float("inf")},
+            {"sample_interval_s": 10**400},
         ],
     )
     def test_header_values_are_strict(self, tmp_path, override):

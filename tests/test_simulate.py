@@ -296,11 +296,13 @@ class TestBuildScenario:
             ({"source_depths_m": (0.01, "0.012", 0.02, 0.015)}, "source_depths_m"),
             ({"lateral_attenuation": np.float32("nan")}, "lateral_attenuation"),
             ({"source_depths_m": (0.01, 0.012, np.float32("inf"), 0.015)}, "source_depths_m"),
+            ({"duration_s": 10**400}, "duration_s"),
         ],
     )
     def test_non_real_float_rejected_at_construction(self, overrides, key):
         # True would pass as 1.0 (a 1,025-sample recording for duration_s), a
-        # string fail a range test with a TypeError, and a numpy NaN pass
+        # string fail a range test with a TypeError, a numpy NaN pass, and an
+        # integer too large for a float raise OverflowError
         with pytest.raises(ParameterError, match=key):
             respiratory_scenario(**overrides)
         scenario = respiratory_scenario(duration_s=np.float32(2.0), firing_rates_hz=(18, 18, 0, 0))
