@@ -31,6 +31,7 @@ from .signal import (
     _json_int,
     _json_list,
     _json_str,
+    _shown,
     read_json,
     read_raw,
     write_json,
@@ -60,7 +61,7 @@ SCENARIO_PRESETS = {
 
 def _scenario_kind(value) -> str:
     if _json_str(value) not in SCENARIO_PRESETS:
-        raise ValueError(f"expected one of {sorted(SCENARIO_PRESETS)}, got {value!r}")
+        raise ValueError(f"expected one of {sorted(SCENARIO_PRESETS)}, got {_shown(value)}")
     return value
 
 

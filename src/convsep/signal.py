@@ -32,6 +32,8 @@ __all__ = [
 # values per slice of _frozen_array's finiteness check: a 16 KiB mask,
 # where one over the whole flagship frames would take 0.49 MB
 _FINITE_CHUNK = 1 << 14
+# characters of an offending value's repr that an error message shows
+_SHOWN_CHARS = 32
 
 
 def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarray:
@@ -50,6 +52,12 @@ def _frozen_array(arr: np.ndarray, what: str, error=ParameterError) -> np.ndarra
     return arr
 
 
+def _shown(value) -> str:
+    """repr(value), cut to its first _SHOWN_CHARS characters."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
 def _real(value, name: str) -> None:
     """ParameterError unless value is a real number, not a bool, finite as a float."""
     try:
@@ -57,13 +65,13 @@ def _real(value, name: str) -> None:
     except OverflowError:
         finite = False
     if not finite:
-        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+        raise ParameterError(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def _integer(value, name: str) -> None:
     """ParameterError unless value is an integer other than a bool."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
+        raise ParameterError(f"{name} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -113,29 +121,29 @@ class TimeSeries:
         return TimeSeries(data, self.meta)
 
 
-def _json_int(value) -> int:
+def _json_int(value, name: str = "value") -> int:
     """A JSON integer, or a float with an integral value."""
     if not (isinstance(value, float) and value.is_integer()):
-        _integer(value, "value")
+        _integer(value, name)
     return int(value)
 
 
-def _json_float(value) -> float:
+def _json_float(value, name: str = "value") -> float:
     """A JSON number, finite."""
-    _real(value, "value")
+    _real(value, name)
     return float(value)
 
 
 def _json_str(value) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
+        raise ValueError(f"expected a string, got {_shown(value)}")
     return value
 
 
 def _json_list(coerce):
     def coerce_list(value) -> tuple:
         if not isinstance(value, list):
-            raise ValueError(f"expected a JSON list, got {value!r}")
+            raise ValueError(f"expected a JSON list, got {_shown(value)}")
         return tuple(coerce(item) for item in value)
 
     return coerce_list
@@ -188,19 +196,19 @@ def read_raw(path, header) -> TimeSeries:
     """
     desc = read_json(header, "signal header")
     try:
-        channels = _json_int(desc["channels"])
-        samples = _json_int(desc["samples"])
+        channels = _json_int(desc["channels"], "channels")
+        samples = _json_int(desc["samples"], "samples")
         labels = _json_list(_json_str)(desc["labels"])
         # a ParameterError here is a ValueError, so a bad interval is a FormatError
-        meta = SignalMetadata(_json_float(desc["sample_interval_s"]), labels)
+        meta = SignalMetadata(_json_float(desc["sample_interval_s"], "sample_interval_s"), labels)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"cannot read signal header {header}: {exc}") from exc
     if channels < 1 or samples < 1:
         raise FormatError(
-            f"header declares channels={channels}, samples={samples}; both must be >= 1"
+            f"{header}: header declares channels={channels}, samples={samples}; both must be >= 1"
         )
     if len(labels) != channels:
-        raise FormatError(f"header has {len(labels)} labels for {channels} channels")
+        raise FormatError(f"{header}: header has {len(labels)} labels for {channels} channels")
 
     payload = np.fromfile(path, dtype="<f4")
     expected = channels * samples

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .signal import SignalMetadata, TimeSeries, _frozen_array, _integer, _real
+from .spectral import _mimo_fir
 
 __all__ = [
     "SOURCE_KINDS",
@@ -98,10 +99,6 @@ class SourceSet:
     def n_sources(self) -> int:
         return self.signals.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.signals.shape[1]
-
 
 @dataclass(frozen=True)
 class MixingSystem:
@@ -121,10 +118,6 @@ class MixingSystem:
     @property
     def n_sources(self) -> int:
         return self.kernels.shape[0]
-
-    @property
-    def n_sensors(self) -> int:
-        return self.kernels.shape[1]
 
 
 @dataclass(frozen=True)
@@ -221,8 +214,9 @@ def generate_impulse_train(
 ) -> np.ndarray:
     """Unit spikes, one sample per envelope sample, with inter-spike
     intervals jittered by FIRING_JITTER (Gaussian, relative), gated by the
-    envelope."""
-    if rate_hz < 0:
+    envelope. Draws one normal per step from rng, as many as the shortest
+    possible steps need to pass the last sample."""
+    if not rate_hz >= 0:
         raise ParameterError(f"rate must be >= 0, got {rate_hz}")
     envelope = np.asarray(envelope, dtype=np.float64)
     if envelope.ndim != 1:
@@ -232,14 +226,14 @@ def generate_impulse_train(
     if rate_hz == 0:
         return out
     base = 1.0 / (rate_hz * SAMPLE_INTERVAL_S)
-    idx = 0
-    while True:
-        factor = 1.0 + FIRING_JITTER * rng.standard_normal()
-        idx += max(1, int(round(base * max(factor, 0.1))))
-        if idx >= n:
-            break
-        if envelope[idx] > 0:
-            out[idx] = 1.0
+    # no step is shorter than this, so this many steps pass the last sample
+    shortest = max(1, round(min(0.1 * base, n)))
+    factor = np.maximum(1.0 + FIRING_JITTER * rng.standard_normal(-(-n // shortest)), 0.1)
+    # a step of n or more ends the train, so capping it there changes no spike
+    steps = np.maximum(np.round(np.minimum(base * factor, n)).astype(np.int64), 1)
+    spikes = np.cumsum(steps)
+    spikes = spikes[: np.searchsorted(spikes, n)]
+    out[spikes[envelope[spikes] > 0]] = 1.0
     return out
 
 
@@ -315,9 +309,21 @@ def generate_ecg_interferer(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def mix(
-    sources: SourceSet, system: MixingSystem, gains
-) -> tuple[TimeSeries, list[TimeSeries]]:
+def _unit_images(signals: np.ndarray, kernels: np.ndarray) -> list[np.ndarray]:
+    """Each source's unit-gain sensor images, (sensors, samples), by the
+    pipeline's FIR kernel: a single-tap kernel scales its source bit for bit."""
+    return [_mimo_fir(kernels[q][:, None, :], signals[q : q + 1]) for q in range(len(kernels))]
+
+
+def _superpose(unit_images: list[np.ndarray], gains) -> tuple[TimeSeries, list[TimeSeries]]:
+    """The unit images scaled by gains in place, and their sum."""
+    labels = tuple(f"sensor{p + 1}" for p in range(len(unit_images[0])))
+    meta = SignalMetadata(SAMPLE_INTERVAL_S, labels)
+    images = [TimeSeries(np.multiply(img, g, out=img), meta) for g, img in zip(gains, unit_images)]
+    return TimeSeries(sum(img.data for img in images), meta), images
+
+
+def mix(sources: SourceSet, system: MixingSystem, gains) -> tuple[TimeSeries, list[TimeSeries]]:
     """x_p(n) = sum_q gain_q sum_k a[q,p,k] s_q(n-k), plus each source's
     isolated sensor image; the images sum to the mixture exactly."""
     gains = np.asarray(gains, dtype=np.float64)
@@ -326,31 +332,17 @@ def mix(
             f"{sources.n_sources} sources, {system.n_sources} kernel rows, "
             f"{gains.shape} gains: counts must agree"
         )
-    n = sources.n_samples
-    meta = SignalMetadata(
-        SAMPLE_INTERVAL_S, tuple(f"sensor{p + 1}" for p in range(system.n_sensors))
-    )
-    images = []
-    total = np.zeros((system.n_sensors, n))
-    for q in range(sources.n_sources):
-        img = np.zeros((system.n_sensors, n))
-        for p in range(system.n_sensors):
-            img[p] = gains[q] * np.convolve(sources.signals[q], system.kernels[q, p])[:n]
-        total += img
-        images.append(TimeSeries(img, meta))
-    return TimeSeries(total, meta), images
+    return _superpose(_unit_images(sources.signals, system.kernels), gains)
 
 
 def _source_signal(sc: SimScenario, q: int) -> np.ndarray:
     kind = sc.source_kinds[q]
     n = sc.n_samples
     rng = stream_rng(sc.seed, f"source/{q}")
-    if kind == "emg_inspiratory":
-        return generate_impulse_train(sc.firing_rates_hz[q], cyclic_envelope(n, 0.0, 0.45), rng)
-    if kind == "emg_expiratory":
-        return generate_impulse_train(sc.firing_rates_hz[q], cyclic_envelope(n, 0.5, 0.95), rng)
-    if kind == "emg":
-        return generate_impulse_train(sc.firing_rates_hz[q], np.ones(n), rng)
+    # the phases of the breathing cycle in which each EMG kind fires
+    gates = {"emg_inspiratory": (0.0, 0.45), "emg_expiratory": (0.5, 0.95), "emg": (0.0, 1.0)}
+    if kind in gates:
+        return generate_impulse_train(sc.firing_rates_hz[q], cyclic_envelope(n, *gates[kind]), rng)
     if kind == "ecg":
         return generate_ecg_interferer(n, rng)
     return rng.standard_normal(n)
@@ -392,10 +384,6 @@ def _source_kernels(sc: SimScenario, q: int, rng: np.random.Generator) -> np.nda
     return out
 
 
-def _target_gain(kind: str) -> float:
-    return {"ecg": ECG_GAIN, "noise": NOISE_GAIN}.get(kind, EMG_GAIN)
-
-
 def build_scenario(sc: SimScenario) -> Simulation:
     """Deterministic synthesis for a fixed seed: sources, kernels, unit-gain
     images scaled to each kind's target RMS, and their sum as the mixture.
@@ -406,14 +394,13 @@ def build_scenario(sc: SimScenario) -> Simulation:
 
     kernel_rng = stream_rng(sc.seed, "kernels")
     kernels = np.stack([_source_kernels(sc, q, kernel_rng) for q in range(sc.n_sources)])
-    images = mix(sources, MixingSystem(kernels), np.ones(sc.n_sources))[1]
+    unit_images = _unit_images(sources.signals, kernels)
     gains = np.ones(sc.n_sources)
-    for q, img in enumerate(images):
-        rms = float(np.sqrt(np.mean(img.data**2)))
+    for q, img in enumerate(unit_images):
+        rms = float(np.sqrt(np.mean(img**2)))
         if rms > 0:
-            gains[q] = _target_gain(sc.source_kinds[q]) / rms
-        images[q] = img.with_data(gains[q] * img.data)
-    mixed = images[0].with_data(sum(img.data for img in images))
+            gains[q] = {"ecg": ECG_GAIN, "noise": NOISE_GAIN}.get(sc.source_kinds[q], EMG_GAIN) / rms
+    mixed, images = _superpose(unit_images, gains)
     return Simulation(mixed, sources, MixingSystem(kernels * gains[:, None, None]), images)
 
 

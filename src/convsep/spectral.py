@@ -170,9 +170,9 @@ def _mimo_fir(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     T[(p, t), (q, j)] = w[q, p, m*B + j - t] (zero outside 0..L-1). The
     windows of _FIR_CHUNK_BLOCKS blocks go through one matrix product at a
     time, in buffers allocated once per call. Where an output sample has a
-    single nonzero tap of 1 (an identity bank, a pure delay), every other
-    product is an exact zero, so the sample reproduces its input bit for
-    bit.
+    single nonzero tap a (an identity bank, a pure delay, a scaled spike),
+    every other product is an exact zero, so the sample is a times its input
+    bit for bit.
     """
     q, p, length = coeffs.shape
     n = x.shape[1]
@@ -273,12 +273,12 @@ def save_filter_bank(bank: DemixFilterBank, path, header) -> None:
 def load_filter_bank(path, header) -> DemixFilterBank:
     desc = read_json(header, "filter bank header")
     try:
-        channels = _json_int(desc["P"])
-        length = _json_int(desc["L"])
+        channels = _json_int(desc["P"], "P")
+        length = _json_int(desc["L"], "L")
     except (KeyError, ValueError) as exc:
         raise FormatError(f"cannot read filter bank header {header}: {exc}") from exc
     if channels < 1 or length < 1:
-        raise FormatError(f"header declares P={channels}, L={length}; both must be >= 1")
+        raise FormatError(f"{header}: header declares P={channels}, L={length}; both must be >= 1")
     payload = np.fromfile(path, dtype="<f8")
     expected = channels * channels * length
     if payload.size != expected:

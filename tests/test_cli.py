@@ -157,6 +157,13 @@ class TestSimulateCommand:
         assert err.startswith("convsep: error:") and key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_long_config_number_is_named_and_cut(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, scenario={"duration_s": 10**400})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.duration_s" in err and len(err) < 200
+
     def test_readme_full_config_runs(self, tmp_path):
         text = README.read_text(encoding="utf-8")
         block = text.split("A full config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
@@ -259,6 +266,19 @@ class TestSeparateCommand:
         write_raw(recording, out / "mixed.raw", out / "mixed.json")
         header = json.loads((out / "mixed.json").read_text())
         (out / "mixed.json").write_text(json.dumps({**header, "sample_interval_s": 10**400}))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert main(["separate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("convsep: error:") and "mixed.json" in err
+
+    def test_header_declaring_no_channels_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        recording = TimeSeries(np.ones((1, 64)), SignalMetadata(1e-3, ("a",)))
+        write_raw(recording, out / "mixed.raw", out / "mixed.json")
+        header = json.loads((out / "mixed.json").read_text())
+        (out / "mixed.json").write_text(json.dumps({**header, "channels": 0}))
         cfg = tmp_path / "cfg.json"
         write_config(cfg)
         assert main(["separate", "--config", str(cfg)]) == 2

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,8 +216,27 @@ class TestRawIO:
         header.write_text(json.dumps(desc))
         assert read_raw(raw, header).meta.channel_labels == ("a", "b")
         header.write_text(json.dumps({**desc, **override}))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(header))):
             read_raw(raw, header)
+
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ({"sample_interval_s": 10**400}, "sample_interval_s"),
+            ({"sample_interval_s": "1" * 401}, "sample_interval_s"),
+            ({"channels": 2.5}, "channels"),
+            ({"samples": "2"}, "samples"),
+        ],
+    )
+    def test_number_error_names_key_and_is_short(self, tmp_path, monkeypatch, override, key):
+        monkeypatch.chdir(tmp_path)
+        np.zeros(4, dtype="<f4").tofile("sig.raw")
+        desc = {"channels": 2, "samples": 2, "sample_interval_s": 1e-3, "labels": ["a", "b"]}
+        Path("sig.json").write_text(json.dumps({**desc, **override}))
+        with pytest.raises(FormatError) as info:
+            read_raw("sig.raw", "sig.json")
+        message = str(info.value)
+        assert key in message and "sig.json" in message and len(message) < 200
 
     def test_interleaving_is_frame_major(self, tmp_path, make_ts):
         ts = make_ts([[1.0, 2.0], [10.0, 20.0]])

@@ -7,6 +7,7 @@ from convsep.cli import main
 from convsep.errors import ParameterError
 from convsep.simulate import (
     ECG_BPM,
+    FIRING_JITTER,
     MixingSystem,
     SimScenario,
     SourceSet,
@@ -40,6 +41,24 @@ def naive_mix(signals, kernels, gains):
     return out
 
 
+def loop_impulse_train(rate_hz, envelope, rng):
+    """One jittered step at a time, the generator's spike-by-spike reference."""
+    n = envelope.size
+    out = np.zeros(n)
+    if rate_hz == 0:
+        return out
+    base = 1.0 / (rate_hz * TA)
+    idx = 0
+    while True:
+        factor = 1.0 + FIRING_JITTER * rng.standard_normal()
+        idx += max(1, int(round(base * max(factor, 0.1))))
+        if idx >= n:
+            break
+        if envelope[idx] > 0:
+            out[idx] = 1.0
+    return out
+
+
 class TestImpulseTrain:
     def test_zero_rate(self):
         out = generate_impulse_train(0.0, np.ones(100), stream_rng(0, "t"))
@@ -61,6 +80,24 @@ class TestImpulseTrain:
         out = generate_impulse_train(30.0, env, stream_rng(1, "t"))
         assert out[n // 2 :].sum() == 0.0
         assert out[: n // 2].sum() > 0
+
+    @pytest.mark.parametrize("rate_hz", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_rate(self, rate_hz):
+        with pytest.raises(ParameterError, match="rate must be >= 0"):
+            generate_impulse_train(rate_hz, np.ones(100), stream_rng(0, "t"))
+
+    @pytest.mark.parametrize("n", [1, 2, 1000, 61475])
+    @pytest.mark.parametrize("gate", ["off", "on", "inspiratory"])
+    @pytest.mark.parametrize("rate_hz", [0.0, 0.5, 13.0, 18.0, 21.0, 500.0])
+    def test_bytes_match_spike_loop(self, rate_hz, gate, n):
+        envelope = {
+            "off": np.zeros(n),
+            "on": np.ones(n),
+            "inspiratory": cyclic_envelope(n, 0.0, 0.45),
+        }[gate]
+        label = f"train/{rate_hz}/{gate}/{n}"
+        out = generate_impulse_train(rate_hz, envelope, stream_rng(3, label))
+        assert out.tobytes() == loop_impulse_train(rate_hz, envelope, stream_rng(3, label)).tobytes()
 
 
 class TestMuapKernel:
@@ -149,6 +186,15 @@ class TestMix:
         assert mixed.meta.sample_interval_s == TA
         np.testing.assert_array_equal(mixed.data[0], sig[0])
         np.testing.assert_array_equal(images[0].data, mixed.data)
+        # a pure delay and a scaled single tap, bit for bit
+        delay = np.zeros((1, 1, 8))
+        delay[0, 0, 5] = 1.0
+        delayed = mix(sources, MixingSystem(delay), [1.0])[0].data[0]
+        assert delayed.tobytes() == np.concatenate([np.zeros(5), sig[0, :-5]]).tobytes()
+        tap = np.zeros((1, 1, 8))
+        tap[0, 0, 3] = -0.37
+        scaled = mix(sources, MixingSystem(tap), [2.5])[0].data[0]
+        assert scaled.tobytes() == np.concatenate([np.zeros(3), 2.5 * (-0.37 * sig[0, :-3])]).tobytes()
 
     def test_superposition(self):
         rng = stream_rng(7, "s")

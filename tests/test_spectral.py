@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ class TestBankIO:
         raw, header = tmp_path / "bank.raw", tmp_path / "bank.json"
         np.zeros(values, dtype="<f8").tofile(raw)
         header.write_text(json.dumps(desc))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(header))):
             load_filter_bank(raw, header)
 
 
