@@ -284,7 +284,7 @@ def _chunk_pass(state: IterationState, weights: np.ndarray) -> np.ndarray:
         power = sq if n_bins == 1 else scale @ sq.reshape(n_bins, -1)
         halves = power.reshape(parts, channels, -1)
         inv = np.sqrt(halves[0] if parts == 1 else halves[0] + halves[1])
-        if not np.all(np.isfinite(inv)):
+        if not np.isfinite(inv.max()):  # a NaN or inf anywhere reaches the max
             channel, block = np.argwhere(~np.isfinite(inv))[0]
             loudest = np.argmax(np.max(sq[:, channel::channels, block], axis=1))
             raise NumericalDivergenceError(state.iteration, int(loudest))

@@ -188,36 +188,52 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
+def _write_payload(values: np.ndarray, dtype: str, path, header, desc: dict) -> None:
+    """Write values in C order as little-endian dtype to a new file, then desc to header."""
+    with _open_new(path, "wb") as fh:
+        np.ascontiguousarray(values, dtype=dtype).tofile(fh)
+    write_json(desc, header)
+
+
+def _read_payload(path, header, what: str, dtype: str, shape: tuple[str, ...]):
+    """(desc, payload): the JSON header, and path's payload in the shape of the
+    header counts that shape names. FormatError unless each count is an
+    integer >= 1 and the payload holds exactly their product of dtype values;
+    messages cut each header value by _shown."""
+    desc = read_json(header, what)
+    try:
+        counts = {name: _json_int(desc[name], name) for name in shape}
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"cannot read {what} {header}: {exc}") from exc
+    declared = ", ".join(f"{name}={_shown(count)}" for name, count in counts.items())
+    if min(counts.values()) < 1:
+        raise FormatError(f"{header}: header declares {declared}; each must be >= 1")
+    dims = [counts[name] for name in shape]
+    payload = np.fromfile(path, dtype=dtype)
+    if payload.size != math.prod(dims):
+        raise FormatError(
+            f"{path}: payload holds {payload.size} {np.dtype(dtype).name} values, "
+            f"{header} requires {' x '.join(shape)} with {declared}"
+        )
+    return desc, payload.reshape(dims)
+
+
 def read_raw(path, header) -> TimeSeries:
     """Read an interleaved little-endian float32 file described by a JSON header.
 
     The payload length must equal channels * samples * 4 bytes; values are
     widened to float64 in one C-order copy.
     """
-    desc = read_json(header, "signal header")
+    desc, payload = _read_payload(path, header, "signal header", "<f4", ("samples", "channels"))
     try:
-        channels = _json_int(desc["channels"], "channels")
-        samples = _json_int(desc["samples"], "samples")
         labels = _json_list(_json_str)(desc["labels"])
         # a ParameterError here is a ValueError, so a bad interval is a FormatError
         meta = SignalMetadata(_json_float(desc["sample_interval_s"], "sample_interval_s"), labels)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"cannot read signal header {header}: {exc}") from exc
-    if channels < 1 or samples < 1:
-        raise FormatError(
-            f"{header}: header declares channels={channels}, samples={samples}; both must be >= 1"
-        )
-    if len(labels) != channels:
-        raise FormatError(f"{header}: header has {len(labels)} labels for {channels} channels")
-
-    payload = np.fromfile(path, dtype="<f4")
-    expected = channels * samples
-    if payload.size != expected:
-        raise FormatError(
-            f"{path}: payload holds {payload.size} float32 values, "
-            f"header requires {expected} ({channels} channels x {samples} samples)"
-        )
-    data = np.ascontiguousarray(payload.reshape(samples, channels).T, dtype=np.float64)
+    if len(labels) != payload.shape[1]:
+        raise FormatError(f"{header}: header has {len(labels)} labels for {payload.shape[1]} channels")
+    data = np.ascontiguousarray(payload.T, dtype=np.float64)
     try:
         return TimeSeries(data, meta)  # the one finiteness scan of the payload
     except DataError as exc:
@@ -226,15 +242,13 @@ def read_raw(path, header) -> TimeSeries:
 
 def write_raw(ts: TimeSeries, path, header) -> None:
     """Write the signal as interleaved little-endian float32 plus a JSON header."""
-    with _open_new(path, "wb") as fh:
-        np.ascontiguousarray(ts.data.T, dtype="<f4").tofile(fh)
     desc = {
         "channels": ts.n_channels,
         "samples": ts.n_samples,
         "sample_interval_s": ts.meta.sample_interval_s,
         "labels": list(ts.meta.channel_labels),
     }
-    write_json(desc, header)
+    _write_payload(ts.data.T, "<f4", path, header, desc)
 
 
 def highpass_dc_removal(ts: TimeSeries, cutoff_hz: float) -> TimeSeries:

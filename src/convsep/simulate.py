@@ -326,6 +326,9 @@ def _superpose(unit_images: list[np.ndarray], gains) -> tuple[TimeSeries, list[T
 def mix(sources: SourceSet, system: MixingSystem, gains) -> tuple[TimeSeries, list[TimeSeries]]:
     """x_p(n) = sum_q gain_q sum_k a[q,p,k] s_q(n-k), plus each source's
     isolated sensor image; the images sum to the mixture exactly."""
+    if min(sources.signals.shape) < 1:
+        counts = "{} sources of {} samples".format(*sources.signals.shape)
+        raise ParameterError(f"need at least one source and one sample, got {counts}")
     gains = np.asarray(gains, dtype=np.float64)
     if system.n_sources != sources.n_sources or gains.shape != (sources.n_sources,):
         raise ParameterError(

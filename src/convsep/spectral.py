@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError
-from .signal import (
-    TimeSeries,
-    _frozen_array,
-    _json_int,
-    _open_new,
-    read_json,
-    write_json,
-)
+from .errors import DataError, ParameterError
+from .signal import TimeSeries, _frozen_array, _read_payload, _write_payload
 
 __all__ = [
     "SpectralFrames",
@@ -265,27 +258,13 @@ def filters_to_freq(bank: DemixFilterBank) -> FrequencyFilterBank:
 
 def save_filter_bank(bank: DemixFilterBank, path, header) -> None:
     """Write {P, L} JSON header plus raw little-endian float64 in (q, p, k) order."""
-    with _open_new(path, "wb") as fh:
-        np.ascontiguousarray(bank.coeffs, dtype="<f8").tofile(fh)
-    write_json({"P": bank.n_channels, "L": bank.filter_length}, header)
+    desc = {"P": bank.n_channels, "L": bank.filter_length}
+    _write_payload(bank.coeffs, "<f8", path, header, desc)
 
 
 def load_filter_bank(path, header) -> DemixFilterBank:
-    desc = read_json(header, "filter bank header")
+    _, payload = _read_payload(path, header, "filter bank header", "<f8", ("P", "P", "L"))
     try:
-        channels = _json_int(desc["P"], "P")
-        length = _json_int(desc["L"], "L")
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"cannot read filter bank header {header}: {exc}") from exc
-    if channels < 1 or length < 1:
-        raise FormatError(f"{header}: header declares P={channels}, L={length}; both must be >= 1")
-    payload = np.fromfile(path, dtype="<f8")
-    expected = channels * channels * length
-    if payload.size != expected:
-        raise FormatError(
-            f"{path}: payload holds {payload.size} float64 values, header requires {expected}"
-        )
-    try:
-        return DemixFilterBank(payload.reshape(channels, channels, length))
+        return DemixFilterBank(payload)
     except ParameterError as exc:  # the shape is checked, so the values are not finite
         raise DataError(f"{path}: payload contains non-finite values") from exc

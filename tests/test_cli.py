@@ -285,6 +285,22 @@ class TestSeparateCommand:
         err = capsys.readouterr().err
         assert err.startswith("convsep: error:") and "mixed.json" in err
 
+    def test_header_with_a_long_count_exits_2_on_one_short_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        recording = TimeSeries(np.ones((1, 64)), SignalMetadata(1e-3, ("a",)))
+        write_raw(recording, out / "mixed.raw", out / "mixed.json")
+        header = json.loads((out / "mixed.json").read_text())
+        (out / "mixed.json").write_text(json.dumps({**header, "channels": 10**400}))
+        write_config(tmp_path / "cfg.json", out_dir="out")
+        assert main(["separate", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("convsep: error:") and err.count("\n") == 1 and len(err) < 200
+        assert "mixed.json" in err and "channels=1000" in err
+
     def test_filter_length_flag_reaches_bank(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, scenario={"kind": "diagonal", "duration_s": 4.0})
@@ -463,6 +479,20 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert "filterbank.raw" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_bank_header_with_a_long_count_exits_2_on_one_short_line(
+        self, tmp_path, monkeypatch, capsys, separated_diagonal
+    ):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(separated_diagonal, tmp_path / "out")
+        (tmp_path / "out" / "filterbank.json").write_text(json.dumps({"P": 10**400, "L": 16}))
+        scenario = {"kind": "diagonal", "duration_s": 4.0}
+        write_config(tmp_path / "cfg.json", out_dir="out", scenario=scenario)
+        assert main(["evaluate", "--config", "cfg.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("convsep: error:") and err.count("\n") == 1 and len(err) < 200
+        assert "filterbank.json" in err and "P=1000" in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPT_RUN_REPORTS))
     def test_corrupt_run_report_exits_2(self, tmp_path, capsys, separated_diagonal, corruption):

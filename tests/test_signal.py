@@ -226,6 +226,8 @@ class TestRawIO:
             ({"sample_interval_s": "1" * 401}, "sample_interval_s"),
             ({"channels": 2.5}, "channels"),
             ({"samples": "2"}, "samples"),
+            ({"channels": 10**400}, "channels"),
+            ({"samples": 10**400}, "samples"),
         ],
     )
     def test_number_error_names_key_and_is_short(self, tmp_path, monkeypatch, override, key):
@@ -237,6 +239,19 @@ class TestRawIO:
             read_raw("sig.raw", "sig.json")
         message = str(info.value)
         assert key in message and "sig.json" in message and len(message) < 200
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        ts = TimeSeries([[0.5, -1.25, 3.0], [1e-3, 2.0, -0.0]], SignalMetadata(0.976e-3, ("ch1", "ch2")))
+        raw, header = tmp_path / "sig.raw", tmp_path / "sig.json"
+        write_raw(ts, raw, header)
+        assert raw.read_bytes().hex() == "0000003f6f12833a0000a0bf000000400000404000000080"
+        assert header.read_text() == (
+            '{\n  "channels": 2,\n  "labels": [\n    "ch1",\n    "ch2"\n  ],\n'
+            '  "sample_interval_s": 0.000976,\n  "samples": 3\n}\n'
+        )
+        back = read_raw(raw, header)
+        assert back.data.tobytes() == ts.data.astype(np.float32).astype(np.float64).tobytes()
+        assert back.meta == ts.meta
 
     def test_interleaving_is_frame_major(self, tmp_path, make_ts):
         ts = make_ts([[1.0, 2.0], [10.0, 20.0]])

@@ -216,6 +216,18 @@ class TestMix:
         mixed, images = mix(sources, MixingSystem(kernels), gains)
         np.testing.assert_allclose(mixed.data, naive_mix(sig, kernels, gains), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "signals,kernels,counts",
+        [
+            (np.zeros((0, 5)), np.zeros((0, 2, 3)), "0 sources of 5 samples"),
+            (np.zeros((1, 0)), np.ones((1, 2, 3)), "1 sources of 0 samples"),
+        ],
+    )
+    def test_empty_source_set_is_parameter_error(self, signals, kernels, counts):
+        sources = SourceSet(signals, ("noise",) * len(signals))
+        with pytest.raises(ParameterError, match=counts):
+            mix(sources, MixingSystem(kernels), np.ones(len(signals)))
+
     def test_images_sum_to_mixture(self):
         sim = build_scenario(respiratory_scenario(seed=1, duration_s=5.0))
         total = sum(img.data for img in sim.images)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +258,27 @@ class TestBankIO:
         header.write_text(json.dumps(desc))
         with pytest.raises(FormatError, match=re.escape(str(header))):
             load_filter_bank(raw, header)
+
+    @pytest.mark.parametrize("key", ["P", "L"])
+    def test_long_header_count_is_named_and_cut(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        np.zeros(8, dtype="<f8").tofile("bank.raw")
+        Path("bank.json").write_text(json.dumps({"P": 2, "L": 2, key: 10**400}))
+        with pytest.raises(FormatError) as info:
+            load_filter_bank("bank.raw", "bank.json")
+        message = str(info.value)
+        assert f"{key}=1000" in message and "bank.json" in message and len(message) < 200
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        bank = DemixFilterBank(np.arange(8.0).reshape(2, 2, 2) / 3)
+        raw, header = tmp_path / "bank.raw", tmp_path / "bank.json"
+        save_filter_bank(bank, raw, header)
+        assert raw.read_bytes().hex() == (
+            "0000000000000000555555555555d53f555555555555e53f000000000000f03f"
+            "555555555555f53fabaaaaaaaaaafa3f0000000000000040abaaaaaaaaaa0240"
+        )
+        assert header.read_text() == '{\n  "L": 2,\n  "P": 2\n}\n'
+        assert load_filter_bank(raw, header).coeffs.tobytes() == bank.coeffs.tobytes()
 
 
 class TestSpectralFramesType:
